@@ -32,7 +32,6 @@ from .bounds import (
     bound_volume_via_wills,
     bound_wills_functional,
     build_report,
-    compare_bl_direct_vs_parseval,
     inputs_digest,
 )
 from .decomp import (

@@ -1,122 +1,34 @@
-"""Hot numeric kernels: polytope membership counting and Dykstra projections.
-
-Two implementations are provided: numba ``@njit`` kernels and pure-numpy
-fallbacks.  The fallback is selected by setting the environment variable
-``SLICEBOUND_NO_NUMBA=1`` (or automatically when numba is not installed).
-The counting kernel is bit-identical on both paths; the Dykstra kernels
-agree to the stopping tolerance (the batched fallback shares one stopping
-criterion across points).  See ``benchmarks/bench_kernels.py`` for a speed
-comparison.
-"""
-
-import os
+"""Hot numeric kernels: polytope membership counting and Dykstra projections,
+vectorized over the points with numpy."""
 
 import numpy as np
 
-USE_NUMBA = os.environ.get("SLICEBOUND_NO_NUMBA", "0") != "1"
-if USE_NUMBA:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        USE_NUMBA = False
+
+def count_inside(points, normals, offsets, symmetric):
+    dots = points @ normals.T
+    if symmetric:
+        inside = np.abs(dots) <= offsets
+    else:
+        inside = dots <= offsets
+    return int(np.count_nonzero(inside.all(axis=1)))
 
 
-def _count_inside_impl(points, normals, offsets, symmetric):
-    n_pts = points.shape[0]
-    n_con = normals.shape[0]
-    count = 0
-    for i in range(n_pts):
-        ok = True
-        for c in range(n_con):
-            s = 0.0
-            for d in range(points.shape[1]):
-                s += normals[c, d] * points[i, d]
-            if symmetric:
-                if abs(s) > offsets[c]:
-                    ok = False
-                    break
-            else:
-                if s > offsets[c]:
-                    ok = False
-                    break
-        if ok:
-            count += 1
-    return count
-
-
-def _dykstra_distances_impl(points, normals, offsets, max_iter, tol):
-    # Projects each point onto {x : <a_c, x> <= b_c for all c} by Dykstra's
-    # cyclic scheme; normals must be unit vectors.  Returns Euclidean distances.
-    n_pts = points.shape[0]
-    n_con = normals.shape[0]
-    dim = points.shape[1]
-    dists = np.empty(n_pts)
-    y = np.empty(dim)
-    incr = np.empty((n_con, dim))
-    w = np.empty(dim)
-    for i in range(n_pts):
-        for d in range(dim):
-            y[d] = points[i, d]
-        for c in range(n_con):
-            for d in range(dim):
-                incr[c, d] = 0.0
-        for it in range(max_iter):
-            shift = 0.0
-            for c in range(n_con):
-                for d in range(dim):
-                    w[d] = y[d] + incr[c, d]
-                s = 0.0
-                for d in range(dim):
-                    s += normals[c, d] * w[d]
-                excess = s - offsets[c]
-                if excess > 0.0:
-                    for d in range(dim):
-                        y[d] = w[d] - excess * normals[c, d]
-                else:
-                    for d in range(dim):
-                        y[d] = w[d]
-                for d in range(dim):
-                    delta = w[d] - y[d]
-                    diff = delta - incr[c, d]
-                    if abs(diff) > shift:
-                        shift = abs(diff)
-                    incr[c, d] = delta
-            if shift < tol:
-                break
-        s = 0.0
-        for d in range(dim):
-            s += (points[i, d] - y[d]) ** 2
-        dists[i] = np.sqrt(s)
-    return dists
-
-
-if USE_NUMBA:
-    count_inside = njit(cache=True)(_count_inside_impl)
-    dykstra_distances = njit(cache=True)(_dykstra_distances_impl)
-else:
-
-    def count_inside(points, normals, offsets, symmetric):
-        dots = points @ normals.T
-        if symmetric:
-            inside = np.abs(dots) <= offsets
-        else:
-            inside = dots <= offsets
-        return int(np.count_nonzero(inside.all(axis=1)))
-
-    def dykstra_distances(points, normals, offsets, max_iter, tol):
-        # Batched over points; same constraint cycle order as the njit kernel.
-        y = points.copy()
-        incr = np.zeros((normals.shape[0],) + points.shape)
-        for it in range(max_iter):
-            shift = 0.0
-            for c in range(normals.shape[0]):
-                w = y + incr[c]
-                excess = w @ normals[c] - offsets[c]
-                np.maximum(excess, 0.0, out=excess)
-                y = w - excess[:, None] * normals[c]
-                delta = w - y
-                shift = max(shift, float(np.abs(delta - incr[c]).max()))
-                incr[c] = delta
-            if shift < tol:
-                break
-        return np.linalg.norm(points - y, axis=1)
+def dykstra_distances(points, normals, offsets, max_iter, tol):
+    # Projects every point onto {x : <a_c, x> <= b_c for all c} by Dykstra's
+    # cyclic scheme, with one stopping test for the whole batch; normals
+    # must be unit vectors.  Returns Euclidean distances.
+    y = points.copy()
+    incr = np.zeros((normals.shape[0],) + points.shape)
+    for it in range(max_iter):
+        shift = 0.0
+        for c in range(normals.shape[0]):
+            w = y + incr[c]
+            excess = w @ normals[c] - offsets[c]
+            np.maximum(excess, 0.0, out=excess)
+            y = w - excess[:, None] * normals[c]
+            delta = w - y
+            shift = max(shift, float(np.abs(delta - incr[c]).max()))
+            incr[c] = delta
+        if shift < tol:
+            break
+    return np.linalg.norm(points - y, axis=1)

@@ -208,9 +208,7 @@ def kp_ball(decomp, p, alphas):
 
 def vol_ball_p(k, p):
     """Volume of the unit l_p ball in R^k."""
-    from .specfun import gamma_fn
-
-    return (2.0 * gamma_fn(1.0 + 1.0 / p)) ** k / gamma_fn(1.0 + k / p)
+    return (2.0 * math.gamma(1.0 + 1.0 / p)) ** k / math.gamma(1.0 + k / p)
 
 
 def vol_simplex_inradius1(k):

@@ -14,13 +14,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
-from .bodies import KpBall, vol_ball_p, vol_simplex_inradius1
+from .bodies import vol_ball_p, vol_simplex_inradius1
 from .decomp import project
 from .errors import DegenerateRegimeError, GateError, StructuralError
 from .specfun import (
     QuadratureOptions,
     WillsIntegrandParams,
-    gamma_fn,
     gamma_p_interpolator,
     sinc_power_integral,
     wills_g,
@@ -34,8 +33,12 @@ LIMIT_EPS = 1e-9     # 1 - tc below this: use the tc -> 1 limit branch
 # symmetric-body bounds (cube-type sections)
 
 
+def _below_half(values):
+    return np.flatnonzero(np.asarray(values) < 0.5 - GATE_SLACK)
+
+
 def _check_half_gate(values, label, force):
-    bad = np.flatnonzero(np.asarray(values) < 0.5 - GATE_SLACK)
+    bad = _below_half(values)
     if bad.size and not force:
         raise GateError(
             f"{label} >= 1/2 fails at indices {bad.tolist()}",
@@ -61,9 +64,13 @@ def bound_symmetric_case1_coarse(proj, force=False):
     return 2.0 ** k * ((n - 2.0 * k + m0) / (m0 - k)) ** ((m0 - k) / 2.0)
 
 
+def _case2_regime(n, k):
+    return n / 2.0 <= k <= n
+
+
 def bound_symmetric_case2(n, k):
     """2^((n+k)/2), the large-section regime bound; requires n/2 <= k <= n."""
-    if not n / 2.0 <= k <= n:
+    if not _case2_regime(n, k):
         raise DegenerateRegimeError(
             f"stated only for n/2 <= k <= n, got n={n}, k={k}"
         )
@@ -75,11 +82,6 @@ def bound_ab_old(proj):
     tc = proj.tilde_weights
     log_prod = float(np.sum(tc * (np.log(proj.weights) - np.log(tc)))) / 2.0
     return 2.0 ** proj.k * math.exp(log_prod)
-
-
-def compare_bl_direct_vs_parseval(proj, force=False):
-    """Both routes to the same section bound: (case1 value, baseline value)."""
-    return bound_symmetric_case1(proj, force=force), bound_ab_old(proj)
 
 
 def _sinc_power_value(p):
@@ -176,7 +178,7 @@ def bound_k1_intermediate(ball, H):
         log_ratio = (math.lgamma(p - 0.5) - math.lgamma(p)
                      - 0.5 * math.log(defect))
         log_acc += defect * log_ratio
-    return math.exp(log_acc) / gamma_fn(1.0 + k)
+    return math.exp(log_acc) / math.gamma(1.0 + k)
 
 
 def bound_k1_lower(ball, H):
@@ -235,8 +237,8 @@ def bound_kp_lower(ball, H, options=QuadratureOptions(abs_tol=1e-11)):
     log_pref = float(np.sum(0.5 * np.log(proj.weights) - np.log(alphas) / p))
     log_pref -= (m0 - k) * math.log(2.0 * math.pi)
     log_pref += beta * math.log(math.pi) + beta * math.log(m0 - k)
-    log_pref -= math.log(gamma_fn(beta))
-    return math.exp(log_pref) * integral / gamma_fn(1.0 + k / p)
+    log_pref -= math.lgamma(beta)
+    return math.exp(log_pref) * integral / math.gamma(1.0 + k / p)
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +274,6 @@ def bound_nonsym_hyperplane(n):
 # ---------------------------------------------------------------------------
 # report assembly
 
-SYMMETRIC_BOUNDS = (
-    "symmetric_case1", "symmetric_case1_coarse", "symmetric_case2", "ab_old",
-    "wills_volume", "wills_functional", "mean_width",
-)
-KP_BOUNDS = ("k1_upper", "k1_intermediate", "k1_lower", "kp_upper", "kp_lower")
-NONSYM_BOUNDS = ("nonsym_fourier", "nonsym_hyperplane")
-ALL_BOUNDS = SYMMETRIC_BOUNDS + KP_BOUNDS + NONSYM_BOUNDS
-
-_NO_GATE = {"required_condition": "none", "satisfied": True}
-
 
 @dataclass
 class BoundReport:
@@ -289,16 +281,6 @@ class BoundReport:
 
     entries: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
-
-    def add(self, name, value, gate=None, digest=""):
-        if not math.isfinite(value) or value <= 0:
-            raise StructuralError(f"bound {name} produced non-positive {value}")
-        self.entries.append({
-            "name": name,
-            "value": float(value),
-            "gate": dict(gate) if gate else dict(_NO_GATE),
-            "inputs_digest": digest,
-        })
 
     def value(self, name):
         for e in self.entries:
@@ -323,8 +305,82 @@ def inputs_digest(*arrays):
     return h.hexdigest()[:16]
 
 
-def _gate_dict(condition, satisfied):
-    return {"required_condition": condition, "satisfied": bool(satisfied)}
+# Input kinds: what a bound of the kind needs, and the digest of that input.
+# A "ball" input is the pair (KpBall, subspace).
+_KINDS = {
+    "proj": ("a projected system", lambda proj: inputs_digest(
+        proj.directions, proj.tilde_weights, proj.thresholds)),
+    "ball": ("a KpBall and subspace", lambda bh: inputs_digest(
+        bh[0].decomp.vectors, bh[0].decomp.weights, bh[0].alphas,
+        [bh[0].p], bh[1].basis)),
+    "nl": ("a nonsymmetric lift", lambda nl: inputs_digest(
+        nl.lifted_vectors, nl.lifted_weights, nl.kappa)),
+}
+
+
+@dataclass(frozen=True)
+class _Bound:
+    """One registry row.  evaluate(x, force, lam), gate(x) and in_all(x)
+    take the input x of the row's kind; in_all says whether "all" includes
+    the bound.  Evaluators look the bound functions up by name at call time,
+    so wrapping a module attribute wraps the registry's call too."""
+
+    kind: str
+    evaluate: object
+    gate: object = None             # None: no hypothesis
+    gate_text: str = "none"
+    in_all: object = lambda x: True
+
+
+def _tc_half(proj):
+    return _below_half(proj.tilde_weights).size == 0
+
+
+def _kappa_half(nl):
+    return _below_half(nl.kappa).size == 0
+
+
+def _is_l1(bh):
+    return bh[0].p == 1.0
+
+
+_REGISTRY = {
+    "symmetric_case1": _Bound(
+        "proj", lambda proj, force, lam: bound_symmetric_case1(proj, force),
+        _tc_half, "all tilde weights >= 1/2"),
+    "symmetric_case1_coarse": _Bound(
+        "proj",
+        lambda proj, force, lam: bound_symmetric_case1_coarse(proj, force),
+        _tc_half, "all tilde weights >= 1/2"),
+    "symmetric_case2": _Bound(
+        "proj", lambda proj, force, lam: bound_symmetric_case2(
+            proj.subspace.ambient_dim, proj.k),
+        lambda proj: _case2_regime(proj.subspace.ambient_dim, proj.k),
+        "n/2 <= k <= n", in_all=lambda proj: False),
+    "ab_old": _Bound("proj", lambda proj, force, lam: bound_ab_old(proj)),
+    "wills_volume": _Bound(
+        "proj", lambda proj, force, lam: bound_volume_via_wills(proj)),
+    "wills_functional": _Bound(
+        "proj", lambda proj, force, lam: bound_wills_functional(proj, lam)),
+    "mean_width": _Bound(
+        "proj", lambda proj, force, lam: bound_mean_width(proj)),
+    "k1_upper": _Bound(
+        "ball", lambda bh, force, lam: bound_k1_upper(*bh), in_all=_is_l1),
+    "k1_intermediate": _Bound(
+        "ball", lambda bh, force, lam: bound_k1_intermediate(*bh),
+        in_all=_is_l1),
+    "k1_lower": _Bound(
+        "ball", lambda bh, force, lam: bound_k1_lower(*bh), in_all=_is_l1),
+    "kp_upper": _Bound("ball", lambda bh, force, lam: bound_kp_upper(*bh)),
+    "kp_lower": _Bound("ball", lambda bh, force, lam: bound_kp_lower(*bh)),
+    "nonsym_fourier": _Bound(
+        "nl", lambda nl, force, lam: bound_nonsym_fourier(nl, force),
+        _kappa_half, "all kappa >= 1/2"),
+    "nonsym_hyperplane": _Bound(
+        "nl", lambda nl, force, lam: bound_nonsym_hyperplane(nl.n),
+        _kappa_half, "all kappa >= 1/2 (reported alongside)"),
+}
+ALL_BOUNDS = tuple(_REGISTRY)
 
 
 def build_report(names="all", proj=None, ball=None, subspace=None, nl=None,
@@ -335,17 +391,16 @@ def build_report(names="all", proj=None, ball=None, subspace=None, nl=None,
     explicit list; asking for a bound whose inputs are missing, or for an
     unknown name, is a structural error.
     """
+    inputs = {"proj": proj, "nl": nl,
+              "ball": (ball, subspace) if ball is not None
+              and subspace is not None else None}
     if names == "all":
-        wanted = []
-        if proj is not None:
-            wanted += [n for n in SYMMETRIC_BOUNDS if n != "symmetric_case2"]
-        if ball is not None and subspace is not None:
-            wanted += list(KP_BOUNDS) if ball.p == 1.0 else ["kp_upper", "kp_lower"]
-        if nl is not None:
-            wanted += list(NONSYM_BOUNDS)
+        wanted = [name for name, row in _REGISTRY.items()
+                  if inputs[row.kind] is not None
+                  and row.in_all(inputs[row.kind])]
     else:
         wanted = list(names)
-        unknown = [n for n in wanted if n not in ALL_BOUNDS]
+        unknown = [n for n in wanted if n not in _REGISTRY]
         if unknown:
             raise StructuralError(
                 f"unknown bound identifiers {unknown}; valid names: "
@@ -353,65 +408,20 @@ def build_report(names="all", proj=None, ball=None, subspace=None, nl=None,
             )
     report = BoundReport(metadata=dict(metadata or {}))
     for name in wanted:
-        report.entries.append(_evaluate_one(
-            name, proj=proj, ball=ball, subspace=subspace, nl=nl,
-            force=force, lam=lam,
-        ))
+        report.entries.append(_evaluate_one(name, inputs, force, lam))
     return report
 
 
-def _evaluate_one(name, proj, ball, subspace, nl, force, lam):
-    if name in SYMMETRIC_BOUNDS:
-        if proj is None:
-            raise StructuralError(f"bound {name} needs a projected system")
-        digest = inputs_digest(proj.directions, proj.tilde_weights,
-                               proj.thresholds)
-        gate = dict(_NO_GATE)
-        if name in ("symmetric_case1", "symmetric_case1_coarse"):
-            ok = bool(np.all(proj.tilde_weights >= 0.5 - GATE_SLACK))
-            gate = _gate_dict("all tilde weights >= 1/2", ok)
-            fn = (bound_symmetric_case1 if name == "symmetric_case1"
-                  else bound_symmetric_case1_coarse)
-            value = fn(proj, force=force)
-        elif name == "symmetric_case2":
-            n, k = proj.subspace.ambient_dim, proj.k
-            gate = _gate_dict("n/2 <= k <= n", n / 2.0 <= k <= n)
-            value = bound_symmetric_case2(n, k)
-        elif name == "ab_old":
-            value = bound_ab_old(proj)
-        elif name == "wills_volume":
-            value = bound_volume_via_wills(proj)
-        elif name == "wills_functional":
-            value = bound_wills_functional(proj, lam)
-        else:
-            value = bound_mean_width(proj)
-    elif name in KP_BOUNDS:
-        if ball is None or subspace is None:
-            raise StructuralError(f"bound {name} needs a KpBall and subspace")
-        digest = inputs_digest(ball.decomp.vectors, ball.decomp.weights,
-                               ball.alphas, [ball.p], subspace.basis)
-        gate = dict(_NO_GATE)
-        fn = {
-            "k1_upper": bound_k1_upper,
-            "k1_intermediate": bound_k1_intermediate,
-            "k1_lower": bound_k1_lower,
-            "kp_upper": bound_kp_upper,
-            "kp_lower": bound_kp_lower,
-        }[name]
-        value = fn(ball, subspace)
-    else:
-        if nl is None:
-            raise StructuralError(f"bound {name} needs a nonsymmetric lift")
-        digest = inputs_digest(nl.lifted_vectors, nl.lifted_weights, nl.kappa)
-        if name == "nonsym_fourier":
-            ok = bool(np.all(nl.kappa >= 0.5 - GATE_SLACK))
-            gate = _gate_dict("all kappa >= 1/2", ok)
-            value = bound_nonsym_fourier(nl, force=force)
-        else:
-            ok = bool(np.all(nl.kappa >= 0.5 - GATE_SLACK))
-            gate = _gate_dict("all kappa >= 1/2 (reported alongside)", ok)
-            value = bound_nonsym_hyperplane(nl.n)
+def _evaluate_one(name, inputs, force, lam):
+    row = _REGISTRY[name]
+    x = inputs[row.kind]
+    needs, digest = _KINDS[row.kind]
+    if x is None:
+        raise StructuralError(f"bound {name} needs {needs}")
+    gate = {"required_condition": row.gate_text,
+            "satisfied": row.gate is None or bool(row.gate(x))}
+    value = row.evaluate(x, force, lam)
     if not math.isfinite(value) or value <= 0:
         raise StructuralError(f"bound {name} produced non-positive {value}")
     return {"name": name, "value": float(value), "gate": gate,
-            "inputs_digest": digest}
+            "inputs_digest": digest(x)}

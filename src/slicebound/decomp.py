@@ -127,10 +127,15 @@ def validate(decomp, tol_unit=TOL_UNIT, tol_identity=TOL_IDENTITY):
     )
 
 
-def _orthonormalize(rows, tol=1e-12):
-    """Gram-Schmidt on the given rows, dropping near-dependent ones."""
-    out = []
-    for r in rows:
+def _gram_schmidt(out, candidates, tol):
+    """Gram-Schmidt of the candidate rows against the orthonormal rows in
+    the list out, appending each normalized residual longer than tol until
+    out spans the space; returns the appended rows."""
+    n = len(candidates[0])
+    added = []
+    for r in candidates:
+        if len(out) == n:
+            break
         v = np.array(r, dtype=float)
         for b in out:
             v -= (v @ b) * b
@@ -140,7 +145,24 @@ def _orthonormalize(rows, tol=1e-12):
         nrm = np.linalg.norm(v)
         if nrm > tol:
             out.append(v / nrm)
-    return np.array(out) if out else np.zeros((0, len(rows[0])))
+            added.append(out[-1])
+    return np.array(added) if added else np.zeros((0, n))
+
+
+def _orthonormalize(rows, tol=1e-12):
+    """Gram-Schmidt on the given rows, dropping near-dependent ones."""
+    return _gram_schmidt([], rows, tol)
+
+
+def _complete(rows, n):
+    """Rows completing the orthonormal rows to a basis of R^n, found by
+    Gram-Schmidt of e_0, e_1, ... in index order against them."""
+    # copies: dots with row views of a transposed array round differently
+    out = [np.array(r, dtype=float) for r in rows]
+    comp = _gram_schmidt(out, np.eye(n), GS_PIVOT_TOL)
+    if len(rows) + len(comp) != n:
+        raise StructuralError("orthonormal completion failed")
+    return comp
 
 
 @dataclass(frozen=True)
@@ -164,27 +186,8 @@ class Subspace:
             raise StructuralError("could not orthonormalize basis")
         object.__setattr__(self, "basis", ortho)
         if self.complement_basis is None:
-            comp = self._complete(ortho)
+            comp = _complete(ortho, self.ambient_dim)
             object.__setattr__(self, "complement_basis", comp)
-
-    @staticmethod
-    def _complete(basis):
-        n = basis.shape[1]
-        rows = list(basis)
-        comp = []
-        for i in range(n):
-            v = np.zeros(n)
-            v[i] = 1.0
-            for b in rows:
-                v -= (v @ b) * b
-            for b in rows:
-                v -= (v @ b) * b
-            nrm = np.linalg.norm(v)
-            if nrm > GS_PIVOT_TOL:
-                v = v / nrm
-                rows.append(v)
-                comp.append(v)
-        return np.array(comp) if comp else np.zeros((0, n))
 
     @property
     def k(self):
@@ -210,22 +213,7 @@ class Subspace:
     def orthogonal_to(cls, normals):
         a = np.atleast_2d(np.asarray(normals, dtype=float))
         n = a.shape[1]
-        nb = _orthonormalize(a)
-        rows = list(nb)
-        basis = []
-        for i in range(n):
-            v = np.zeros(n)
-            v[i] = 1.0
-            for b in rows:
-                v -= (v @ b) * b
-            for b in rows:
-                v -= (v @ b) * b
-            nrm = np.linalg.norm(v)
-            if nrm > GS_PIVOT_TOL:
-                v = v / nrm
-                rows.append(v)
-                basis.append(v)
-        return cls(n, np.array(basis))
+        return cls(n, _complete(_orthonormalize(a), n))
 
     @classmethod
     def random(cls, ambient_dim, k, rng):
@@ -318,32 +306,6 @@ class Lift:
         return op_norm_residual(mat, np.eye(d))
 
 
-def _complete_rows(rows, m):
-    """Complete orthonormal rows to an orthonormal basis of R^m by
-    Gram-Schmidt against canonical seeds in index order, sign-normalizing
-    each completed row so its first nonzero entry is positive."""
-    out = [np.array(r, dtype=float) for r in rows]
-    for i in range(m):
-        v = np.zeros(m)
-        v[i] = 1.0
-        for b in out:
-            v -= (v @ b) * b
-        for b in out:
-            v -= (v @ b) * b
-        nrm = np.linalg.norm(v)
-        if nrm > GS_PIVOT_TOL:
-            v = v / nrm
-            nz = np.flatnonzero(np.abs(v) > 1e-12)
-            if nz.size and v[nz[0]] < 0:
-                v = -v
-            out.append(v)
-        if len(out) == m:
-            break
-    if len(out) != m:
-        raise StructuralError("orthonormal completion failed")
-    return np.array(out)
-
-
 def lift(proj, tol_identity=TOL_IDENTITY):
     """Lift a projected decomposition to an orthonormal frame of R^{m0}."""
     m0, k = proj.m0, proj.k
@@ -355,8 +317,13 @@ def lift(proj, tol_identity=TOL_IDENTITY):
         raise StructuralError(
             f"projected system rows not orthonormal (residual {gram_res:.3e})"
         )
-    basis = _complete_rows(rows, m0)       # (m0, m0); first k rows span H
-    frame = basis.T                        # columns -> x_j as rows of frame
+    comp = _complete(rows, m0)
+    for v in comp:
+        # sign rule: the first nonzero entry of a completed row is positive
+        nz = np.flatnonzero(np.abs(v) > 1e-12)
+        if nz.size and v[nz[0]] < 0:
+            v *= -1.0
+    frame = np.vstack([rows, comp]).T      # first k rows of the basis span H
     defect = 1.0 - proj.tilde_weights
     j1 = np.flatnonzero(defect > TOL_PROJ)
     comp = frame[j1, k:] / np.sqrt(defect[j1])[:, None]

@@ -12,11 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, QhullError
 
 from ._kernels import count_inside, dykstra_distances
+from .bodies import section_polytope
 from .decomp import lift
-from .errors import DomainError, GateError, StructuralError
+from .errors import (DegenerateRegimeError, DomainError, GateError,
+                     StructuralError)
 from .specfun import sinc_product_integral
 
 _CHUNK = 1 << 16          # fixed batch size keeps streams seed-reproducible
@@ -52,29 +55,32 @@ def _check_bounded(poly):
     if np.linalg.matrix_rank(normals, tol=1e-10) < poly.k:
         raise StructuralError("polytope is unbounded: normals do not span")
     if not poly.symmetric:
-        # every direction must meet a constraint pointing against it
-        rng = np.random.default_rng(12345)
-        dirs = rng.standard_normal((512, poly.k))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        if np.any((dirs @ normals.T).max(axis=1) <= 1e-12):
-            raise StructuralError("polytope appears unbounded in some direction")
+        # spanning normals bound the polytope iff they also span positively:
+        # some lambda >= 1 has sum_i lambda_i a_i = 0
+        res = linprog(np.zeros(len(normals)), A_eq=normals.T,
+                      b_eq=np.zeros(poly.k), bounds=(1.0, None))
+        if res.status != 0:
+            raise StructuralError("polytope is unbounded in some direction")
 
 
-def mc_volume(poly, samples, seed):
-    """Rejection-sampling volume of an H-representation polytope."""
+def _sample_chunks(samples, seed, k, radius):
+    """Uniform points in the k-ball of the given radius, drawn in chunks of
+    fixed size so that equal seeds give equal streams."""
     if samples < 1000:
         raise StructuralError("need at least 1000 samples")
-    _check_bounded(poly)
-    k = poly.k
-    env = unit_ball_volume(k) * poly.circumradius ** k
     rng = np.random.default_rng(seed)
-    hits = 0
-    done = 0
-    while done < samples:
-        count = min(_CHUNK, samples - done)
-        pts = _ball_points(rng, count, k, poly.circumradius)
-        hits += count_inside(pts, poly.normals, poly.offsets, poly.symmetric)
-        done += count
+    for done in range(0, samples, _CHUNK):
+        yield _ball_points(rng, min(_CHUNK, samples - done), k, radius)
+
+
+def _hit_or_miss(count_hits, samples, seed, k, radius):
+    """Volume of a body inside the k-ball of the given radius from the hit
+    count of each chunk of uniform points in that ball."""
+    hits = sum(count_hits(pts)
+               for pts in _sample_chunks(samples, seed, k, radius))
+    if hits == 0:
+        raise DegenerateRegimeError(f"no hit in {samples} samples")
+    env = unit_ball_volume(k) * radius ** k
     p = hits / samples
     return McEstimate(
         mean=env * p,
@@ -83,6 +89,15 @@ def mc_volume(poly, samples, seed):
         seed=seed,
         hit_rate=p,
     )
+
+
+def mc_volume(poly, samples, seed):
+    """Rejection-sampling volume of an H-representation polytope."""
+    _check_bounded(poly)
+    return _hit_or_miss(
+        lambda pts: count_inside(pts, poly.normals, poly.offsets,
+                                 poly.symmetric),
+        samples, seed, poly.k, poly.circumradius)
 
 
 def _vertices(poly):
@@ -103,51 +118,35 @@ def _vertices(poly):
 
 
 def exact_volume_smallk(poly):
-    """Exact volume by vertex enumeration; supports k <= 3."""
+    """Exact volume by vertex enumeration; supports k <= 3.  A flat
+    (lower-dimensional) polytope raises DegenerateRegimeError."""
     k = poly.k
     if k > 3:
         raise StructuralError("exact volumes implemented for k <= 3 only")
     _check_bounded(poly)
     verts = _vertices(poly)
     if len(verts) < k + 1:
-        return 0.0
+        raise DegenerateRegimeError(f"flat polytope: {len(verts)} vertices")
     if k == 1:
         return float(verts.max() - verts.min())
     try:
         return float(ConvexHull(verts).volume)
-    except QhullError:
-        return 0.0        # flat (lower-dimensional) intersection
+    except QhullError as exc:
+        raise DegenerateRegimeError(f"flat polytope: {exc}") from exc
 
 
 def mc_kp_section_volume(ball, H, samples, seed):
     """Monte-Carlo volume of {x in H : ||x||_ball <= 1}."""
-    if samples < 1000:
-        raise StructuralError("need at least 1000 samples")
-    k = H.k
     # |x|^2 = sum c_j <x,v_j>^2 <= sum c_j alpha_j^(-2/p) on the unit ball
     radius = math.sqrt(float(np.sum(
         ball.decomp.weights * ball.alphas ** (-2.0 / ball.p)
     )))
-    env = unit_ball_volume(k) * radius ** k
-    rng = np.random.default_rng(seed)
-    hits = 0
-    done = 0
-    while done < samples:
-        count = min(_CHUNK, samples - done)
-        pts = _ball_points(rng, count, k, radius)
-        hits += int(np.count_nonzero(ball.norm(pts @ H.basis) <= 1.0))
-        done += count
-    p = hits / samples
-    return McEstimate(
-        mean=env * p,
-        std_error=env * math.sqrt(p * (1.0 - p) / samples),
-        samples=samples,
-        seed=seed,
-        hit_rate=p,
-    )
+    return _hit_or_miss(
+        lambda pts: int(np.count_nonzero(ball.norm(pts @ H.basis) <= 1.0)),
+        samples, seed, H.k, radius)
 
 
-def _complement_integral(a, b, w, d, quad_tol, seed):
+def _complement_integral(a, b, w, d, quad_tol):
     """Integral over R^d of prod_j indicator_ft(a_j, b_j <y, w_j>).
 
     a: half-widths; b: defect scales sqrt(1-tc); w: rows in R^d.
@@ -202,17 +201,17 @@ def _complement_integral(a, b, w, d, quad_tol, seed):
 def parseval_check(proj, quad_tol=1e-8, samples=10 ** 6, seed=0):
     """Two-sided check of the section-volume Fourier identity.
 
-    lhs: volume of the section polytope (exact when k <= 3, MC otherwise).
+    lhs: volume of the section polytope (exact when k <= 3, MC otherwise,
+    with its standard error in gates["lhs_std_error"]).
     rhs: (2 pi)^-d times the integral over the lifted orthogonal complement
     of the product of interval Fourier transforms.  Gates: the defect
     vectors must have full rank d, and more than d factors must be
     nontrivial, else the identity is not asserted.
     """
-    from .bodies import section_polytope
-
     lf = lift(proj)
     d = proj.m0 - proj.k
-    gates = {"rank_full": True, "factor_count": True, "mc_rhs": False}
+    gates = {"rank_full": True, "factor_count": True, "mc_rhs": False,
+             "lhs_std_error": 0.0}
     a_all = np.sqrt(proj.tilde_weights) * proj.thresholds
     if d == 0:
         rhs = float(np.prod(2.0 * a_all))
@@ -238,8 +237,7 @@ def parseval_check(proj, quad_tol=1e-8, samples=10 ** 6, seed=0):
         a = a_all[lf.complement_indices]
         b = np.sqrt(lf.defect_weights)
         integral, used_mc = _complement_integral(
-            a, b, lf.complement_vectors, d, quad_tol, seed
-        )
+            a, b, lf.complement_vectors, d, quad_tol)
         gates["mc_rhs"] = used_mc
         rhs = const * integral / (2.0 * math.pi) ** d
 
@@ -247,14 +245,14 @@ def parseval_check(proj, quad_tol=1e-8, samples=10 ** 6, seed=0):
     if proj.k <= 3:
         lhs = exact_volume_smallk(poly)
     else:
-        lhs = mc_volume(poly, samples, seed).mean
+        est = mc_volume(poly, samples, seed)
+        lhs = est.mean
+        gates["lhs_std_error"] = est.std_error
     return lhs, rhs, gates
 
 
 def wills_oracle(poly, samples, seed, margin=3.0):
     """MC estimate of the Wills functional: integral of exp(-pi dist^2)."""
-    if samples < 1000:
-        raise StructuralError("need at least 1000 samples")
     _check_bounded(poly)
     k = poly.k
     radius = poly.circumradius + margin
@@ -263,18 +261,13 @@ def wills_oracle(poly, samples, seed, margin=3.0):
     scale = np.linalg.norm(normals, axis=1)
     normals = normals / scale[:, None]
     offsets = offsets / scale
-    rng = np.random.default_rng(seed)
     total = 0.0
     total_sq = 0.0
-    done = 0
-    while done < samples:
-        count = min(_CHUNK, samples - done)
-        pts = _ball_points(rng, count, k, radius)
+    for pts in _sample_chunks(samples, seed, k, radius):
         dist = dykstra_distances(pts, normals, offsets, 10 ** 4, 1e-9)
         vals = np.exp(-math.pi * dist ** 2)
         total += float(vals.sum())
         total_sq += float((vals ** 2).sum())
-        done += count
     mean_v = total / samples
     var_v = max(total_sq / samples - mean_v ** 2, 0.0)
     return McEstimate(

@@ -14,22 +14,6 @@ from scipy import integrate, special
 
 from .errors import DomainError, GateError
 
-TWO_PI = 2.0 * math.pi
-
-# Lanczos approximation, g = 7, 9 coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -58,21 +42,6 @@ class WillsIntegrandParams:
             raise DomainError(f"p must be > 1, got {self.p}")
         if self.alpha < 0:
             raise DomainError(f"alpha must be >= 0, got {self.alpha}")
-
-
-def gamma_fn(x):
-    """Gamma function by the Lanczos approximation (relative error ~1e-13)."""
-    if x <= 0:
-        raise DomainError(f"gamma_fn requires x > 0, got {x}")
-    if x < 0.5:
-        # reflection keeps the series argument in its accurate range
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(TWO_PI) * t ** (x + 0.5) * math.exp(-t) * acc
 
 
 def sinc_power_integral(p, options=QuadratureOptions()):
@@ -155,13 +124,6 @@ def indicator_ft(c, t):
     return 2.0 * math.sin(ct) / t
 
 
-def exp_ft(alpha, y):
-    """Fourier transform of exp(-alpha*|x|): 2*alpha/(alpha^2 + y^2)."""
-    if alpha <= 0:
-        raise DomainError(f"alpha must be positive, got {alpha}")
-    return 2.0 * alpha / (alpha * alpha + y * y)
-
-
 def gauss_sine_integral(s):
     """I(s) = integral_0^inf exp(-pi y^2) sin(y s) dy, odd in s.
 
@@ -184,11 +146,6 @@ def dist_sq_ft(alpha, z):
     a = indicator_ft(alpha, z)
     c = -2.0 * math.sin(alpha * z) * gauss_sine_integral(z)
     return a + b + c
-
-
-def wills_integrand_A(params, s):
-    """Pointwise value A_alpha(s) of the shifted-Gaussian Fourier transform."""
-    return dist_sq_ft(params.alpha, s)
 
 
 # Empirical sup of |1 - s I(s)| (1 + s^2); used only for tail envelopes.
@@ -274,14 +231,6 @@ def sinc_product_integral(betas, q):
         acc += np.prod(eps) * t_tail(g, q)
     tail = float((pref * acc).real)
     return sign * (head + tail)
-
-
-def cauchy_power_integral(ctilde):
-    """Closed form of the integral of (1+x^2)^(-1/(1-ctilde)) over R."""
-    if not 0.0 < ctilde < 1.0:
-        raise DomainError(f"ctilde must lie in (0, 1), got {ctilde}")
-    q = 1.0 / (1.0 - ctilde)
-    return math.sqrt(math.pi) * gamma_fn(q - 0.5) / gamma_fn(q)
 
 
 def gamma_p_interpolator(p, y_max=200.0, n_grid=4001):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from slicebound import (
+    ALL_BOUNDS,
     DegenerateRegimeError,
     GateError,
     StructuralError,
@@ -23,7 +24,6 @@ from slicebound import (
     bound_volume_via_wills,
     bound_wills_functional,
     build_report,
-    compare_bl_direct_vs_parseval,
     cross_polytope_ball,
     cube_decomposition,
     hadamard_decomposition,
@@ -168,12 +168,6 @@ class TestAbOld:
         proj = project(cube_decomposition(3),
                        Subspace(3, np.array([[1.0, 1.0, 1.0]])))
         assert bound_ab_old(proj) > 0     # tc_j = 1/6, still defined
-
-    def test_compare_routes(self):
-        proj = project(cube_decomposition(3), Subspace.coordinate(3, [0, 1]))
-        direct, baseline = compare_bl_direct_vs_parseval(proj)
-        assert direct == pytest.approx(bound_symmetric_case1(proj))
-        assert baseline == pytest.approx(bound_ab_old(proj))
 
 
 class TestKaramataOrdering:
@@ -385,6 +379,8 @@ class TestBuildReport:
         proj = project(cube_decomposition(3), Subspace.coordinate(3, [0, 1]))
         rep = build_report(["symmetric_case2"], proj=proj)
         assert rep.value("symmetric_case2") == pytest.approx(2.0 ** 2.5)
+        assert rep.entries[0]["gate"] == {
+            "required_condition": "n/2 <= k <= n", "satisfied": True}
 
     def test_unknown_name_lists_valid(self):
         proj = project(cube_decomposition(2), Subspace.coordinate(2, [0]))
@@ -437,3 +433,73 @@ class TestBuildReport:
         names = {e["name"] for e in rep.entries}
         assert names == {"k1_upper", "k1_intermediate", "k1_lower",
                          "kp_upper", "kp_lower"}
+
+
+PLANE = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+
+# pinned build_report("all", force=True) output per input kind:
+# (name, value, gate condition, gate satisfied, inputs digest)
+REGISTRY_REFERENCE = {
+    "projected system": [
+        ("symmetric_case1", 8.0, "all tilde weights >= 1/2", False,
+         "8c9eba7b06af040a"),
+        ("symmetric_case1_coarse", 6.25, "all tilde weights >= 1/2", False,
+         "8c9eba7b06af040a"),
+        ("ab_old", 5.656854249492381, "none", True, "8c9eba7b06af040a"),
+        ("wills_volume", 25.902542187945432, "none", True,
+         "8c9eba7b06af040a"),
+        ("wills_functional", 15.412825394679068, "none", True,
+         "8c9eba7b06af040a"),
+        ("mean_width", 4.82842712474619, "none", True, "8c9eba7b06af040a"),
+    ],
+    "p = 1 ball": [
+        ("k1_upper", 2.0, "none", True, "eacded13310a0040"),
+        ("k1_intermediate", 1.414213562373095, "none", True,
+         "eacded13310a0040"),
+        ("k1_lower", 1.299038105676659, "none", True, "eacded13310a0040"),
+        ("kp_upper", 2.0, "none", True, "eacded13310a0040"),
+        ("kp_lower", 1.4142135623731058, "none", True, "eacded13310a0040"),
+    ],
+    "p = 2 ball": [
+        ("kp_upper", 3.2779054793366074, "none", True, "781a8f48834d5a95"),
+        ("kp_lower", 3.2446229407788905, "none", True, "781a8f48834d5a95"),
+    ],
+    "centered lift": [
+        ("nonsym_fourier", 8.485281374238568, "all kappa >= 1/2", True,
+         "eba1a42ec7a95ebe"),
+        ("nonsym_hyperplane", 8.48528137423857,
+         "all kappa >= 1/2 (reported alongside)", True, "eba1a42ec7a95ebe"),
+    ],
+}
+
+
+def _registry_inputs(kind):
+    H = Subspace(3, PLANE)
+    if kind == "projected system":
+        return {"proj": project(cube_decomposition(3), H)}
+    if kind == "p = 1 ball":
+        return {"ball": cross_polytope_ball(3), "subspace": H}
+    if kind == "p = 2 ball":
+        return {"ball": kp_ball(cube_decomposition(3, one_sided=True), 2.0,
+                                [1.0, 1.5, 0.75]), "subspace": H}
+    d = simplex_decomposition(3)
+    return {"nl": lift_nonsymmetric(d, Subspace.coordinate(3, [0, 1]))}
+
+
+class TestRegistry:
+    @pytest.mark.parametrize("kind", sorted(REGISTRY_REFERENCE))
+    def test_all_matches_reference(self, kind):
+        rep = build_report("all", force=True, **_registry_inputs(kind))
+        got = [(e["name"], e["gate"]["required_condition"],
+                e["gate"]["satisfied"], e["inputs_digest"])
+               for e in rep.entries]
+        want = [(name, cond, ok, digest)
+                for name, _, cond, ok, digest in REGISTRY_REFERENCE[kind]]
+        assert got == want
+        # l_p ball bounds carry the rounding of the Gamma function
+        rel = 1e-12 if "ball" in kind else 0.0
+        for e, ref in zip(rep.entries, REGISTRY_REFERENCE[kind]):
+            assert e["value"] == pytest.approx(ref[1], rel=rel, abs=0.0)
+
+    def test_all_bounds_order(self):
+        assert ALL_NAMES == tuple(ALL_BOUNDS)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from slicebound.bounds import ALL_BOUNDS
 from slicebound.cli import main
 
 
@@ -147,6 +148,13 @@ class TestBound:
         assert code == 1
         assert "valid names" in err
 
+    def test_help_lists_every_bound(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bound", "--help"])
+        text = capsys.readouterr().out
+        for name in ALL_BOUNDS:
+            assert name in text
+
     def test_kp_ball_bounds(self, capsys, b1_ball):
         code, out, _ = run(capsys, "bound", "--input", b1_ball,
                            "--subspace", '{"basis": [[1.0, 1.0, 0.0]]}')
@@ -196,6 +204,20 @@ class TestVerify:
         data = json.loads(out)
         assert data["agree"]
         assert data["lhs"] == pytest.approx(2.0 * math.sqrt(2.0))
+
+    def test_parseval_full_space_mc(self, capsys, tmp_path):
+        # k = 4: the lhs is Monte-Carlo and agrees within its error bar
+        path = str(tmp_path / "simplex4.json")
+        code, _, _ = run(capsys, "construct", "simplex", "--n", "4",
+                         "--output", path)
+        assert code == 0
+        code, out, _ = run(capsys, "verify", "parseval", "--input", path,
+                           "--subspace", '{"coordinate": [0, 1, 2, 3]}',
+                           "--seed", "0")
+        data = json.loads(out)
+        assert code == 0
+        assert data["agree"] is True
+        assert data["gates"]["lhs_std_error"] > 0
 
     def test_wills(self, capsys, cube3):
         code, out, _ = run(capsys, "verify", "wills", "--input", cube3,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from slicebound import (
+    DegenerateRegimeError,
     StructuralError,
     Subspace,
     cross_polytope_ball,
@@ -86,6 +87,33 @@ class TestMcVolume:
         with pytest.raises(StructuralError):
             mc_volume(half, 10 ** 4, seed=0)
 
+    def test_unbounded_wedge_rejected(self):
+        # the normals span the plane but not positively: a thin wedge
+        t = math.pi - 1e-6
+        wedge = HPolytopeSection(
+            subspace=Subspace.coordinate(2, [0, 1]),
+            normals=np.array([[1.0, 0.0], [math.cos(t), math.sin(t)]]),
+            offsets=np.array([1.0, 1.0]),
+            symmetric=False,
+            circumradius=10.0,
+        )
+        with pytest.raises(StructuralError):
+            mc_volume(wedge, 10 ** 4, seed=0)
+        with pytest.raises(StructuralError):
+            exact_volume_smallk(wedge)
+
+    def test_no_hit_raises(self):
+        # a 2e-4 square in a radius-100 envelope: 1000 samples all miss
+        tiny = HPolytopeSection(
+            subspace=Subspace.coordinate(2, [0, 1]),
+            normals=np.eye(2),
+            offsets=np.array([1e-4, 1e-4]),
+            symmetric=True,
+            circumradius=100.0,
+        )
+        with pytest.raises(DegenerateRegimeError):
+            mc_volume(tiny, 1000, seed=0)
+
     def test_rank_deficient_rejected(self):
         slab = HPolytopeSection(
             subspace=Subspace.coordinate(2, [0, 1]),
@@ -120,6 +148,18 @@ class TestExactVolume:
         proj = project(cube_decomposition(4), Subspace.coordinate(4, range(4)))
         with pytest.raises(StructuralError):
             exact_volume_smallk(section_polytope(proj))
+
+    def test_flat_section_raises(self):
+        # |y_2| <= 0 flattens the square to a segment: no area to report
+        flat = HPolytopeSection(
+            subspace=Subspace.coordinate(2, [0, 1]),
+            normals=np.eye(2),
+            offsets=np.array([1.0, 0.0]),
+            symmetric=True,
+            circumradius=2.0,
+        )
+        with pytest.raises(DegenerateRegimeError):
+            exact_volume_smallk(flat)
 
     def test_vertex_enumeration(self):
         verts = _vertices(square_section())
@@ -249,9 +289,79 @@ class TestSphereGrid:
         assert np.abs(dirs.mean(axis=0)).max() < 1e-2
 
 
+def _count_inside_impl(points, normals, offsets, symmetric):
+    # scalar reference loop for the vectorized kernel
+    n_pts = points.shape[0]
+    n_con = normals.shape[0]
+    count = 0
+    for i in range(n_pts):
+        ok = True
+        for c in range(n_con):
+            s = 0.0
+            for d in range(points.shape[1]):
+                s += normals[c, d] * points[i, d]
+            if symmetric:
+                if abs(s) > offsets[c]:
+                    ok = False
+                    break
+            else:
+                if s > offsets[c]:
+                    ok = False
+                    break
+        if ok:
+            count += 1
+    return count
+
+
+def _dykstra_distances_impl(points, normals, offsets, max_iter, tol):
+    # scalar reference loop: Dykstra's cyclic projection one point at a
+    # time, each point with its own stopping test
+    n_pts = points.shape[0]
+    n_con = normals.shape[0]
+    dim = points.shape[1]
+    dists = np.empty(n_pts)
+    y = np.empty(dim)
+    incr = np.empty((n_con, dim))
+    w = np.empty(dim)
+    for i in range(n_pts):
+        for d in range(dim):
+            y[d] = points[i, d]
+        for c in range(n_con):
+            for d in range(dim):
+                incr[c, d] = 0.0
+        for it in range(max_iter):
+            shift = 0.0
+            for c in range(n_con):
+                for d in range(dim):
+                    w[d] = y[d] + incr[c, d]
+                s = 0.0
+                for d in range(dim):
+                    s += normals[c, d] * w[d]
+                excess = s - offsets[c]
+                if excess > 0.0:
+                    for d in range(dim):
+                        y[d] = w[d] - excess * normals[c, d]
+                else:
+                    for d in range(dim):
+                        y[d] = w[d]
+                for d in range(dim):
+                    delta = w[d] - y[d]
+                    diff = delta - incr[c, d]
+                    if abs(diff) > shift:
+                        shift = abs(diff)
+                    incr[c, d] = delta
+            if shift < tol:
+                break
+        s = 0.0
+        for d in range(dim):
+            s += (points[i, d] - y[d]) ** 2
+        dists[i] = np.sqrt(s)
+    return dists
+
+
 class TestKernelPaths:
     def test_count_inside_matches_fallback(self):
-        from slicebound._kernels import _count_inside_impl, count_inside
+        from slicebound._kernels import count_inside
         rng = np.random.default_rng(12)
         pts = rng.standard_normal((5000, 2)) * 1.5
         poly = square_section()
@@ -261,8 +371,7 @@ class TestKernelPaths:
         assert fast == ref
 
     def test_dykstra_matches_fallback(self):
-        from slicebound._kernels import (_dykstra_distances_impl,
-                                         dykstra_distances)
+        from slicebound._kernels import dykstra_distances
         rng = np.random.default_rng(13)
         pts = rng.standard_normal((200, 2)) * 2.0
         poly = square_section()

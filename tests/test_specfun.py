@@ -8,10 +8,7 @@ from slicebound.specfun import (
     QuadratureOptions,
     WillsIntegrandParams,
     ball_integral_bound_check,
-    cauchy_power_integral,
     dist_sq_ft,
-    exp_ft,
-    gamma_fn,
     gamma_p,
     gamma_p_interpolator,
     gauss_sine_integral,
@@ -38,19 +35,6 @@ REF_DIST_SQ_FT = {
 }
 # Parseval closed form at p = 2: 2 pi (2 alpha + 1/sqrt(2))
 REF_WILLS_G_HALF_P2 = 10.726068245337953
-
-
-class TestGammaFn:
-    def test_against_stdlib(self):
-        for x in [0.1, 0.5, 1.0, 1.5, 2.5, 7.0, 20.5, 100.0]:
-            assert gamma_fn(x) == pytest.approx(math.gamma(x), rel=1e-12)
-
-    def test_half_integer(self):
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            gamma_fn(0.0)
 
 
 class TestSincPowerIntegral:
@@ -143,11 +127,6 @@ class TestFourierTransforms:
         with pytest.raises(DomainError):
             indicator_ft(0.0, 1.0)
 
-    def test_exp_ft(self):
-        assert exp_ft(2.0, 0.0) == pytest.approx(1.0, rel=1e-14)
-        with pytest.raises(DomainError):
-            exp_ft(-1.0, 0.0)
-
     def test_gauss_sine_small_s(self):
         # I(s) ~ s/(2 pi) for small s
         s = 1e-6
@@ -200,25 +179,6 @@ class TestWillsG:
             WillsIntegrandParams(alpha=1.0, p=1.0)
         with pytest.raises(DomainError):
             WillsIntegrandParams(alpha=-0.1, p=2.0)
-
-
-class TestCauchyPowerIntegral:
-    def test_half(self):
-        # ctilde = 1/2 gives exponent 2: integral is pi/2
-        assert cauchy_power_integral(0.5) == pytest.approx(math.pi / 2,
-                                                           rel=1e-12)
-
-    def test_matches_quadrature(self):
-        from scipy import integrate
-        ct = 0.3
-        q = 1.0 / (1.0 - ct)
-        ref, _ = integrate.quad(lambda x: (1 + x * x) ** (-q),
-                                -np.inf, np.inf)
-        assert cauchy_power_integral(ct) == pytest.approx(ref, rel=1e-10)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            cauchy_power_integral(1.0)
 
 
 class TestSincProductIntegral:
