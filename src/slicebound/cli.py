@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import bodies, bounds, decomp, oracle
-from .errors import GateError, SliceboundError
+from .errors import GateError, SliceboundError, StructuralError
 
 EXIT_OK = 0
 EXIT_STRUCTURAL = 1
@@ -28,8 +28,10 @@ def _fmt(x):
     return float(f"{x:.17g}")
 
 
-def _load_json_arg(value):
-    """Inline JSON object or path to a JSON file."""
+def _load_json_arg(value, option):
+    """Inline JSON object or path to a JSON file, given to --option."""
+    if value is None:
+        raise StructuralError(f"missing required option --{option}")
     if value.lstrip().startswith("{"):
         return json.loads(value)
     with open(value) as fh:
@@ -38,7 +40,7 @@ def _load_json_arg(value):
 
 def _load_input(path):
     """Returns (decomposition, ball) — ball is None for plain systems."""
-    data = _load_json_arg(path)
+    data = _load_json_arg(path, "input")
     if "p" in data and "alphas" in data:
         inner = decomp.JohnDecomposition.from_dict(data["decomp"])
         ball = bodies.KpBall(inner, float(data["p"]),
@@ -47,8 +49,8 @@ def _load_input(path):
     return decomp.JohnDecomposition.from_dict(data), None
 
 
-def _load_subspace(spec, ambient_dim):
-    return decomp.Subspace.from_dict(_load_json_arg(spec), ambient_dim)
+def _load_subspace(spec, dim):
+    return decomp.Subspace.from_dict(_load_json_arg(spec, "subspace"), dim)
 
 
 def _emit(payload, args):
@@ -163,9 +165,10 @@ def cmd_bound(args):
 def cmd_verify(args):
     system, ball = _load_input(args.input)
     seed = _resolve_seed(args)
+    names = _parse_bounds_arg(args.bounds)
     H = _load_subspace(args.subspace, system.dim)
+    proj = decomp.project(system, H, tol_proj=args.tol_proj)
     if args.what == "parseval":
-        proj = decomp.project(system, H, tol_proj=args.tol_proj)
         lhs, rhs, gates = oracle.parseval_check(
             proj, samples=args.samples, seed=seed)
         tol = max(1e-6, 0.01 * lhs if gates["mc_rhs"] else 1e-6)
@@ -175,7 +178,6 @@ def cmd_verify(args):
                "gates": gates, "agree": agree}, args)
         return EXIT_OK if agree else EXIT_STRUCTURAL
     if args.what == "wills":
-        proj = decomp.project(system, H, tol_proj=args.tol_proj)
         poly = bodies.section_polytope(proj)
         est = oracle.wills_oracle(poly, args.samples, seed)
         bound_val = bounds.bound_wills_functional(proj, 1.0)
@@ -191,18 +193,18 @@ def cmd_verify(args):
         est = oracle.mc_kp_section_volume(ball, H, args.samples, seed)
         out["mc_mean"] = _fmt(est.mean)
         out["mc_std_error"] = _fmt(est.std_error)
-        report = bounds.build_report("all", ball=ball, subspace=H,
+        report = bounds.build_report(names, ball=ball, subspace=H,
                                      force=args.force)
     else:
-        proj = decomp.project(system, H, tol_proj=args.tol_proj)
         poly = bodies.section_polytope(proj)
         if args.oracle in ("mc", "both"):
             est = oracle.mc_volume(poly, args.samples, seed)
             out["mc_mean"] = _fmt(est.mean)
             out["mc_std_error"] = _fmt(est.std_error)
-        if args.oracle in ("exact", "both") and proj.k <= 3:
+        if args.oracle == "exact" or (args.oracle == "both"
+                                      and proj.k <= oracle.EXACT_MAX_K):
             out["exact"] = _fmt(oracle.exact_volume_smallk(poly))
-        report = bounds.build_report("all", proj=proj, force=args.force)
+        report = bounds.build_report(names, proj=proj, force=args.force)
     out["bounds"] = report.to_dict()["entries"]
     _emit(out, args)
     return EXIT_OK if report.gates_satisfied() else EXIT_GATE

@@ -379,18 +379,13 @@ def lift_nonsymmetric(decomp, F, tol_identity=TOL_IDENTITY):
     hb = np.zeros((F.k + 1, n + 1))
     hb[: F.k, :n] = F.basis
     hb[F.k, n] = 1.0
-    H = Subspace(n + 1, hb)
-    coords = lifted @ H.basis.T
-    norms = np.linalg.norm(coords, axis=1)
-    keep = norms > TOL_PROJ
-    support = np.flatnonzero(keep)
-    dirs = coords[keep] / norms[keep][:, None]
-    kappa = delta[keep] * norms[keep] ** 2
+    proj = project(JohnDecomposition(n + 1, lifted, delta),
+                   Subspace(n + 1, hb))
     return NonsymLift(
         lifted_vectors=lifted,
         lifted_weights=delta,
-        lifted_subspace=H,
-        support=support,
-        kappa=kappa,
-        directions=dirs,
+        lifted_subspace=proj.subspace,
+        support=proj.support,
+        kappa=proj.tilde_weights,
+        directions=proj.directions,
     )

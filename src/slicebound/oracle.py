@@ -2,18 +2,17 @@
 two-sided Fourier/Parseval identity checker, and Wills / mean-width oracles.
 
 Nothing in this module reuses a bound formula; estimates come from rejection
-sampling, vertex enumeration, or direct quadrature of Fourier transforms, so
-agreement with the bounds module is evidence rather than tautology.
+sampling, Qhull halfspace intersection, or quadrature of Fourier transforms,
+so agreement with the bounds module is evidence rather than tautology.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
 from ._kernels import count_inside, dykstra_distances
 from .bodies import section_polytope
@@ -23,7 +22,7 @@ from .errors import (DegenerateRegimeError, DomainError, GateError,
 from .specfun import sinc_product_integral
 
 _CHUNK = 1 << 16          # fixed batch size keeps streams seed-reproducible
-_FEAS_TOL = 1e-9
+EXACT_MAX_K = 3           # exact volume, V_1 and Parseval lhs up to this k
 
 
 @dataclass(frozen=True)
@@ -100,39 +99,43 @@ def mc_volume(poly, samples, seed):
         samples, seed, poly.k, poly.circumradius)
 
 
-def _vertices(poly):
-    normals, offsets = poly.expanded_constraints()
+def _hull(poly):
+    """Vertices (rows) and Qhull hull of a bounded section with k <=
+    EXACT_MAX_K; for k = 1 the hull is None and the vertices are the
+    interval's ends.  Flat or empty sections raise DegenerateRegimeError."""
     k = poly.k
-    verts = []
-    for idx in itertools.combinations(range(len(offsets)), k):
-        a = normals[list(idx)]
-        b = offsets[list(idx)]
-        try:
-            x = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError:
-            continue
-        if np.all(normals @ x <= offsets + _FEAS_TOL):
-            if not any(np.linalg.norm(x - v) < 1e-9 for v in verts):
-                verts.append(x)
-    return np.array(verts)
+    if k > EXACT_MAX_K:
+        raise StructuralError(f"exact geometry for k <= {EXACT_MAX_K} only")
+    _check_bounded(poly)
+    normals, offsets = poly.expanded_constraints()
+    flat = 1e-9 * poly.circumradius  # an inradius below this is flat
+    if k == 1:
+        a = normals[:, 0]
+        verts = np.array([[np.max(offsets[a < 0] / a[a < 0])],
+                          [np.min(offsets[a > 0] / a[a > 0])]])
+        if verts[1, 0] - verts[0, 0] <= 2.0 * flat:
+            raise DegenerateRegimeError(f"flat interval {verts.ravel()}")
+        return verts, None
+    # Chebyshev centre: the centre x of the largest ball of radius r inside
+    scale = np.linalg.norm(normals, axis=1)
+    res = linprog(np.r_[np.zeros(k), -1.0],
+                  A_ub=np.column_stack([normals, scale]), b_ub=offsets,
+                  bounds=[(None, None)] * k + [(0.0, None)])
+    if res.status != 0 or res.x[-1] <= flat:
+        raise DegenerateRegimeError("flat or empty polytope: no interior")
+    try:
+        verts = HalfspaceIntersection(
+            np.column_stack([normals, -offsets]), res.x[:k]).intersections
+        return verts, ConvexHull(verts)
+    except QhullError as exc:
+        raise DegenerateRegimeError(f"flat polytope: {exc}") from exc
 
 
 def exact_volume_smallk(poly):
-    """Exact volume by vertex enumeration; supports k <= 3.  A flat
+    """Exact volume from the Qhull hull; supports k <= EXACT_MAX_K.  A flat
     (lower-dimensional) polytope raises DegenerateRegimeError."""
-    k = poly.k
-    if k > 3:
-        raise StructuralError("exact volumes implemented for k <= 3 only")
-    _check_bounded(poly)
-    verts = _vertices(poly)
-    if len(verts) < k + 1:
-        raise DegenerateRegimeError(f"flat polytope: {len(verts)} vertices")
-    if k == 1:
-        return float(verts.max() - verts.min())
-    try:
-        return float(ConvexHull(verts).volume)
-    except QhullError as exc:
-        raise DegenerateRegimeError(f"flat polytope: {exc}") from exc
+    verts, hull = _hull(poly)
+    return float(np.ptp(verts)) if hull is None else float(hull.volume)
 
 
 def mc_kp_section_volume(ball, H, samples, seed):
@@ -193,7 +196,7 @@ def _complement_integral(a, b, w, d, quad_tol):
     # d = 3: deterministic sphere grid for the angular average; the radial
     # integral stays exact, but the kinked angular integrand limits the
     # grid average to about 1% relative accuracy (reported via the flag)
-    dirs = _sphere_grid(3, 4000)
+    dirs = _sphere_grid(4000)
     acc = sum(radial_value_safe(theta, 2) for theta in dirs)
     return 4.0 * math.pi * acc / len(dirs), True
 
@@ -201,8 +204,8 @@ def _complement_integral(a, b, w, d, quad_tol):
 def parseval_check(proj, quad_tol=1e-8, samples=10 ** 6, seed=0):
     """Two-sided check of the section-volume Fourier identity.
 
-    lhs: volume of the section polytope (exact when k <= 3, MC otherwise,
-    with its standard error in gates["lhs_std_error"]).
+    lhs: volume of the section polytope (exact when k <= EXACT_MAX_K, MC
+    otherwise, with its standard error in gates["lhs_std_error"]).
     rhs: (2 pi)^-d times the integral over the lifted orthogonal complement
     of the product of interval Fourier transforms.  Gates: the defect
     vectors must have full rank d, and more than d factors must be
@@ -242,7 +245,7 @@ def parseval_check(proj, quad_tol=1e-8, samples=10 ** 6, seed=0):
         rhs = const * integral / (2.0 * math.pi) ** d
 
     poly = section_polytope(proj)
-    if proj.k <= 3:
+    if proj.k <= EXACT_MAX_K:
         lhs = exact_volume_smallk(poly)
     else:
         est = mc_volume(poly, samples, seed)
@@ -279,13 +282,8 @@ def wills_oracle(poly, samples, seed, margin=3.0):
     )
 
 
-def _sphere_grid(k, count=10 ** 4):
-    if k == 1:
-        return np.array([[1.0], [-1.0]])
-    if k == 2:
-        theta = (np.arange(count) + 0.5) * (2.0 * math.pi / count)
-        return np.column_stack([np.cos(theta), np.sin(theta)])
-    # Fibonacci lattice on S^2
+def _sphere_grid(count):
+    """Fibonacci lattice of count points on S^2."""
     i = np.arange(count) + 0.5
     phi = math.pi * (1.0 + math.sqrt(5.0)) * i
     z = 1.0 - 2.0 * i / count
@@ -293,16 +291,20 @@ def _sphere_grid(k, count=10 ** 4):
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def v1_oracle(poly, grid=10 ** 4):
-    """First intrinsic volume from vertices: V_1 = (k w_k / w_{k-1}) times
-    the spherical mean of the support function.  Supports k <= 3."""
-    k = poly.k
-    if k > 3:
-        raise StructuralError("v1 oracle implemented for k <= 3 only")
-    verts = _vertices(poly)
-    if len(verts) == 0:
-        return 0.0
-    dirs = _sphere_grid(k, grid)
-    support = (dirs @ verts.T).max(axis=1)
-    factor = k * unit_ball_volume(k) / unit_ball_volume(k - 1)
-    return float(factor * support.mean())
+def v1_oracle(poly):
+    """First intrinsic volume from the Qhull hull; supports k <= EXACT_MAX_K.
+    V_1 is the length for k = 1, half the perimeter for k = 2, and for k = 3
+    the sum over edges of length times exterior angle, over 2 pi."""
+    verts, hull = _hull(poly)
+    if hull is None:
+        return float(np.ptp(verts))
+    if poly.k == 2:
+        return 0.5 * float(hull.area)
+    # triangle i meets neighbors[i, m] along the edge opposite its vertex m
+    ends = verts[hull.simplices[:, [[1, 2], [2, 0], [0, 1]]]]
+    length = np.linalg.norm(ends[:, :, 0] - ends[:, :, 1], axis=2)
+    n_i = hull.equations[:, None, :3]
+    n_j = hull.equations[hull.neighbors, :3]
+    angle = np.arctan2(np.linalg.norm(np.cross(n_i, n_j), axis=2),
+                       np.sum(n_i * n_j, axis=2))
+    return float(np.sum(length * angle) / (4.0 * math.pi))  # each edge twice

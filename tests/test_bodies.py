@@ -78,8 +78,8 @@ class TestSectionPolytope:
         proj = project(d, Subspace.random(6, 3, rng))
         poly = section_polytope(proj)
         # vertices of the section must fit inside the envelope ball
-        from slicebound.oracle import _vertices
-        verts = _vertices(poly)
+        from slicebound.oracle import _hull
+        verts, _ = _hull(poly)
         assert np.linalg.norm(verts, axis=1).max() <= poly.circumradius + 1e-9
 
     def test_expanded_constraints(self):

@@ -93,6 +93,11 @@ class TestValidate:
         code, _, _ = run(capsys, "validate", "--input", "/no/such/file.json")
         assert code == 1
 
+    def test_missing_input_exit1(self, capsys):
+        code, _, err = run(capsys, "validate")
+        assert code == 1
+        assert "--input" in err
+
     def test_missing_field_exit1(self, capsys, tmp_path):
         path = tmp_path / "incomplete.json"
         path.write_text(json.dumps({"dim": 2}))
@@ -108,6 +113,14 @@ class TestProject:
         data = json.loads(out)
         assert data["support"] == [0, 1, 3, 4]
         assert data["identity_residual"] < 1e-10
+
+    def test_missing_subspace_exit1(self, capsys, cube3):
+        code, _, err = run(capsys, "project", "--input", cube3)
+        assert code == 1
+        assert "--subspace" in err
+        code, _, err = run(capsys, "verify", "--input", cube3)
+        assert code == 1
+        assert "--subspace" in err
 
     def test_inline_basis(self, capsys, cube3):
         code, out, _ = run(capsys, "project", "--input", cube3,
@@ -195,6 +208,31 @@ class TestVerify:
         data = json.loads(out)
         assert data["exact"] == pytest.approx(4.0)
         assert abs(data["mc_mean"] - 4.0) <= 3 * data["mc_std_error"] + 1e-12
+
+    def test_section_bounds_selection(self, capsys, cube3):
+        code, out, _ = run(capsys, "verify", "section", "--input", cube3,
+                           "--subspace", '{"coordinate": [0, 1]}',
+                           "--samples", "5000", "--bounds", "ab_old")
+        assert code == 0
+        assert [e["name"] for e in json.loads(out)["bounds"]] == ["ab_old"]
+
+    def test_section_exact_above_limit(self, capsys, tmp_path):
+        path = str(tmp_path / "cube4.json")
+        code, _, _ = run(capsys, "construct", "cube", "--n", "4",
+                         "--output", path)
+        assert code == 0
+        argv = ("verify", "section", "--input", path,
+                "--subspace", '{"coordinate": [0, 1, 2, 3]}',
+                "--samples", "5000", "--bounds", "ab_old")
+        code, _, err = run(capsys, *argv, "--oracle", "exact")
+        assert code == 1
+        assert "k <= 3" in err
+        # "both" falls back to the Monte-Carlo oracle alone
+        code, out, _ = run(capsys, *argv, "--oracle", "both")
+        assert code == 0
+        data = json.loads(out)
+        assert "exact" not in data
+        assert data["mc_mean"] > 0
 
     def test_parseval(self, capsys, cube3_one_sided):
         code, out, _ = run(capsys, "verify", "parseval",

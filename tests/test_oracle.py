@@ -23,7 +23,7 @@ from slicebound import (
     wills_oracle,
 )
 from slicebound.bodies import HPolytopeSection, vol_simplex_inradius1
-from slicebound.oracle import McEstimate, _sphere_grid, _vertices
+from slicebound.oracle import McEstimate, _hull, _sphere_grid
 
 
 def square_section(n=2):
@@ -144,6 +144,18 @@ class TestExactVolume:
         assert exact_volume_smallk(poly) == pytest.approx(
             vol_simplex_inradius1(2), rel=1e-9)
 
+    def test_off_origin_square(self):
+        # [1, 2]^2 written one-sided: the origin lies outside the polytope
+        square = HPolytopeSection(
+            subspace=Subspace.coordinate(2, [0, 1]),
+            normals=np.array([[1.0, 0.0], [-1.0, 0.0],
+                              [0.0, 1.0], [0.0, -1.0]]),
+            offsets=np.array([2.0, -1.0, 2.0, -1.0]),
+            symmetric=False,
+            circumradius=3.0,
+        )
+        assert exact_volume_smallk(square) == pytest.approx(1.0, rel=1e-12)
+
     def test_high_dim_rejected(self):
         proj = project(cube_decomposition(4), Subspace.coordinate(4, range(4)))
         with pytest.raises(StructuralError):
@@ -162,8 +174,9 @@ class TestExactVolume:
             exact_volume_smallk(flat)
 
     def test_vertex_enumeration(self):
-        verts = _vertices(square_section())
+        verts, hull = _hull(square_section())
         assert verts.shape == (4, 2)
+        assert len(hull.vertices) == 4
         assert np.allclose(np.abs(verts), 1.0)
 
 
@@ -262,11 +275,11 @@ class TestWillsOracle:
 
 class TestV1Oracle:
     def test_square_and_cube(self):
-        assert v1_oracle(square_section()) == pytest.approx(4.0, abs=1e-2)
+        assert v1_oracle(square_section()) == pytest.approx(4.0, rel=1e-12)
         proj = project(cube_decomposition(3),
                        Subspace.coordinate(3, [0, 1, 2]))
         assert v1_oracle(section_polytope(proj)) == pytest.approx(6.0,
-                                                                  abs=1e-2)
+                                                                  rel=1e-12)
 
     def test_segment_length(self):
         assert v1_oracle(diagonal_segment()) == pytest.approx(
@@ -279,13 +292,12 @@ class TestV1Oracle:
 
 
 class TestSphereGrid:
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_unit_norm(self, k):
-        dirs = _sphere_grid(k, 500)
+    def test_unit_norm(self):
+        dirs = _sphere_grid(500)
         assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0)
 
     def test_mean_near_zero(self):
-        dirs = _sphere_grid(3, 4000)
+        dirs = _sphere_grid(4000)
         assert np.abs(dirs.mean(axis=0)).max() < 1e-2
 
 
