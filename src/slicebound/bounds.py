@@ -18,7 +18,6 @@ from .bodies import vol_ball_p, vol_simplex_inradius1
 from .decomp import project
 from .errors import DegenerateRegimeError, GateError, StructuralError
 from .specfun import (
-    QuadratureOptions,
     WillsIntegrandParams,
     gamma_p_interpolator,
     sinc_power_integral,
@@ -109,7 +108,7 @@ def bound_volume_via_wills(proj):
     return math.exp(log_acc)
 
 
-def bound_wills_functional(proj, lam, options=QuadratureOptions()):
+def bound_wills_functional(proj, lam):
     """Upper bound on the Wills functional of the lam-scaled section:
     (2 pi)^-(m0-k) * prod_j (integral of the j-th factor)^(1 - tc_j)."""
     if lam <= 0:
@@ -207,7 +206,7 @@ def bound_kp_upper(ball, H):
     return vol_ball_p(proj.k, p) * math.exp(log_prod)
 
 
-def bound_kp_lower(ball, H, options=QuadratureOptions(abs_tol=1e-11)):
+def bound_kp_lower(ball, H):
     """Quadrature lower bound for p in [1, 2] sections; needs m0 > k.
 
     Integrates t^(beta-1) * prod_j gamma_p(sqrt(t s_j)) over t > 0 with
@@ -229,10 +228,8 @@ def bound_kp_lower(ball, H, options=QuadratureOptions(abs_tol=1e-11)):
         root = np.sqrt(t * active)
         return t ** (beta - 1.0) * float(np.prod(gp(root)))
 
-    v1, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=options.abs_tol,
-                           limit=options.limit)
-    v2, _ = integrate.quad(integrand, 1.0, np.inf, epsabs=options.abs_tol,
-                           limit=options.limit)
+    v1, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-11, limit=400)
+    v2, _ = integrate.quad(integrand, 1.0, np.inf, epsabs=1e-11, limit=400)
     integral = const * (v1 + v2)
     log_pref = float(np.sum(0.5 * np.log(proj.weights) - np.log(alphas) / p))
     log_pref -= (m0 - k) * math.log(2.0 * math.pi)

@@ -1,8 +1,12 @@
 """Command-line driver: validate / project / bound / verify / construct /
 sweep over decomposition fixtures, emitting JSON or CSV reports.
 
-Exit codes: 0 success, 1 structural error (bad input, schema, domain),
-2 gate violation (with --force the formula values are still emitted).
+Each subcommand accepts only the options its handler reads.
+
+Exit codes: 0 success; 1 structural error: bad input, schema or domain, an
+input a check cannot handle, or a usage error (an unknown or unread option,
+a bad choice, a missing argument); 2 gate violation (with --force the
+formula values are still emitted).
 """
 
 import argparse
@@ -54,11 +58,11 @@ def _load_subspace(spec, dim):
 
 
 def _emit(payload, args):
-    if getattr(args, "format", "json") == "csv":
+    if args.format == "csv":
         text = _to_csv(payload)
     else:
         text = json.dumps(payload, indent=2, default=_json_default)
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -95,7 +99,7 @@ def _to_csv(payload):
 
 
 def _resolve_seed(args):
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("SLICEBOUND_SEED")
     return int(env) if env else 0
@@ -142,31 +146,70 @@ def _parse_bounds_arg(value):
 
 def cmd_bound(args):
     system, ball = _load_input(args.input)
-    names = _parse_bounds_arg(args.bounds)
-    proj = None
-    subspace = None
-    nl = None
-    if args.subspace:
-        subspace = _load_subspace(args.subspace, system.dim)
-        if ball is None:
-            proj = decomp.project(system, subspace, tol_proj=args.tol_proj)
-            if system.centered and system.centering_residual() < 1e-8:
-                nl = decomp.lift_nonsymmetric(system, subspace)
+    subspace = _load_subspace(args.subspace, system.dim)
+    proj = nl = None
+    if ball is None:
+        proj = decomp.project(system, subspace, tol_proj=args.tol_proj)
+        if system.centered and system.centering_residual() < 1e-8:
+            nl = decomp.lift_nonsymmetric(system, subspace)
     report = bounds.build_report(
-        names, proj=proj, ball=ball, subspace=subspace, nl=nl,
-        force=args.force,
-        metadata={"tol_identity": args.tol_identity,
-                  "tol_proj": args.tol_proj},
+        _parse_bounds_arg(args.bounds), proj=proj, ball=ball,
+        subspace=subspace, nl=nl, force=args.force,
+        metadata={"tol_proj": args.tol_proj},
     )
     _emit(report.to_dict(), args)
     return EXIT_OK if report.gates_satisfied() else EXIT_GATE
 
 
+def _section_certificate(system, ball, H, args, seed, oracle_kind):
+    """(bound report, Monte-Carlo estimate, exact volume) for the section of
+    the input by H; the estimate is None for oracle_kind "exact", and the
+    exact volume is None unless asked for and k <= oracle.EXACT_MAX_K."""
+    names = _parse_bounds_arg(args.bounds)
+    if ball is not None:
+        if oracle_kind == "exact":
+            raise StructuralError("no exact oracle for l_p ball sections")
+        est = oracle.mc_kp_section_volume(ball, H, args.samples, seed)
+        report = bounds.build_report(names, ball=ball, subspace=H,
+                                     force=args.force)
+        return report, est, None
+    proj = decomp.project(system, H, tol_proj=args.tol_proj)
+    poly = bodies.section_polytope(proj)
+    est = exact = None
+    if oracle_kind != "exact":
+        est = oracle.mc_volume(poly, args.samples, seed)
+    if oracle_kind == "exact" or (oracle_kind == "both"
+                                  and proj.k <= oracle.EXACT_MAX_K):
+        exact = oracle.exact_volume_smallk(poly)
+    report = bounds.build_report(names, proj=proj, force=args.force)
+    return report, est, exact
+
+
 def cmd_verify(args):
+    if args.what != "section":            # options only sections read
+        given = [f"--{name}" for name in ("bounds", "oracle", "force")
+                 if getattr(args, name) not in (None, False)]
+        if given:
+            raise StructuralError(
+                f"verify {args.what} does not read {', '.join(given)}")
     system, ball = _load_input(args.input)
     seed = _resolve_seed(args)
-    names = _parse_bounds_arg(args.bounds)
     H = _load_subspace(args.subspace, system.dim)
+    if args.what == "section":
+        report, est, exact = _section_certificate(
+            system, ball, H, args, seed, args.oracle or "both")
+        out = {"seed": seed, "samples": args.samples}
+        if est is not None:
+            out["mc_mean"] = _fmt(est.mean)
+            out["mc_std_error"] = _fmt(est.std_error)
+        if exact is not None:
+            out["exact"] = _fmt(exact)
+        out["bounds"] = report.to_dict()["entries"]
+        _emit(out, args)
+        return EXIT_OK if report.gates_satisfied() else EXIT_GATE
+    if ball is not None:
+        raise StructuralError(
+            f"verify {args.what} checks polytope sections, not l_p balls")
     proj = decomp.project(system, H, tol_proj=args.tol_proj)
     if args.what == "parseval":
         lhs, rhs, gates = oracle.parseval_check(
@@ -177,37 +220,15 @@ def cmd_verify(args):
                "abs_difference": _fmt(abs(lhs - rhs)),
                "gates": gates, "agree": agree}, args)
         return EXIT_OK if agree else EXIT_STRUCTURAL
-    if args.what == "wills":
-        poly = bodies.section_polytope(proj)
-        est = oracle.wills_oracle(poly, args.samples, seed)
-        bound_val = bounds.bound_wills_functional(proj, 1.0)
-        _emit({"oracle_mean": _fmt(est.mean),
-               "oracle_std_error": _fmt(est.std_error),
-               "bound": _fmt(bound_val),
-               "dominates": bound_val >= est.mean - 3 * est.std_error,
-               "samples": est.samples, "seed": est.seed}, args)
-        return EXIT_OK
-    # section-volume verification
-    out = {"seed": seed, "samples": args.samples}
-    if ball is not None:
-        est = oracle.mc_kp_section_volume(ball, H, args.samples, seed)
-        out["mc_mean"] = _fmt(est.mean)
-        out["mc_std_error"] = _fmt(est.std_error)
-        report = bounds.build_report(names, ball=ball, subspace=H,
-                                     force=args.force)
-    else:
-        poly = bodies.section_polytope(proj)
-        if args.oracle in ("mc", "both"):
-            est = oracle.mc_volume(poly, args.samples, seed)
-            out["mc_mean"] = _fmt(est.mean)
-            out["mc_std_error"] = _fmt(est.std_error)
-        if args.oracle == "exact" or (args.oracle == "both"
-                                      and proj.k <= oracle.EXACT_MAX_K):
-            out["exact"] = _fmt(oracle.exact_volume_smallk(poly))
-        report = bounds.build_report(names, proj=proj, force=args.force)
-    out["bounds"] = report.to_dict()["entries"]
-    _emit(out, args)
-    return EXIT_OK if report.gates_satisfied() else EXIT_GATE
+    poly = bodies.section_polytope(proj)
+    est = oracle.wills_oracle(poly, args.samples, seed)
+    bound_val = bounds.bound_wills_functional(proj, 1.0)
+    _emit({"oracle_mean": _fmt(est.mean),
+           "oracle_std_error": _fmt(est.std_error),
+           "bound": _fmt(bound_val),
+           "dominates": bound_val >= est.mean - 3 * est.std_error,
+           "samples": est.samples, "seed": est.seed}, args)
+    return EXIT_OK
 
 
 def cmd_construct(args):
@@ -225,21 +246,12 @@ def cmd_sweep(args):
     system, ball = _load_input(args.input)
     seed = _resolve_seed(args)
     rng = np.random.default_rng(seed)
-    names = _parse_bounds_arg(args.bounds)
     columns = None
     rows = []
     for i in range(args.count):
         H = decomp.Subspace.random(system.dim, args.k, rng)
-        if ball is not None:
-            report = bounds.build_report(names, ball=ball, subspace=H,
-                                         force=args.force)
-            est = oracle.mc_kp_section_volume(ball, H, args.samples,
-                                              seed + i + 1)
-        else:
-            proj = decomp.project(system, H, tol_proj=args.tol_proj)
-            report = bounds.build_report(names, proj=proj, force=args.force)
-            poly = bodies.section_polytope(proj)
-            est = oracle.mc_volume(poly, args.samples, seed + i + 1)
+        report, est, _ = _section_certificate(system, ball, H, args,
+                                              seed + i + 1, "mc")
         entry_names = [e["name"] for e in report.entries]
         if columns is None:
             columns = (["row", "inputs_digest", "k"] + entry_names
@@ -258,77 +270,77 @@ def cmd_sweep(args):
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser, subspace=False):
-    parser.add_argument("--input", required=False)
-    if subspace:
-        parser.add_argument("--subspace")
-    parser.add_argument(
-        "--bounds", default="all",
-        help="'all' (every bound the inputs allow) or a comma-separated "
-             "list of: " + ", ".join(bounds.ALL_BOUNDS))
-    parser.add_argument("--oracle", choices=["mc", "exact", "both"],
-                        default="both")
-    parser.add_argument("--samples", type=int, default=10 ** 5)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--tol-identity", type=float, default=1e-8,
-                        dest="tol_identity")
-    parser.add_argument("--tol-proj", type=float, default=1e-9,
-                        dest="tol_proj")
-    parser.add_argument("--force", action="store_true")
-    parser.add_argument("--output")
-    parser.add_argument("--format", choices=["json", "csv"], default="json")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise StructuralError, so they exit 1 like bad input
+    rather than with argparse's 2, which is the gate-violation code."""
+
+    def error(self, message):
+        raise StructuralError(f"{self.prog}: {message}")
+
+
+# every option a subcommand can declare; --bounds and --oracle default to
+# None ("all" and "both") so that verify can tell whether one was given
+_OPTIONS = {
+    "--input": {},
+    "--subspace": {},
+    "--bounds": {
+        "help": "'all' (every bound the inputs allow, the default) or a "
+                "comma-separated list of: " + ", ".join(bounds.ALL_BOUNDS)},
+    "--oracle": {"choices": ["mc", "exact", "both"],
+                 "help": "section oracle (default: both)"},
+    "--force": {"action": "store_true"},
+    "--samples": {"type": int, "default": 10 ** 5},
+    "--seed": {"type": int},
+    "--tol-identity": {"type": float, "default": 1e-8},
+    "--tol-proj": {"type": float, "default": 1e-9},
+    "--count": {"type": int, "default": 10},
+    "--k": {"type": int, "default": 2},
+    "--n": {"type": int, "default": 2},
+    "--one-sided": {"action": "store_true"},
+    "--output": {},
+    "--format": {"choices": ["json", "csv"], "default": "json"},
+}
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="slicebound",
         description="Volume bounds for sections of convex bodies in John "
                     "position, with Monte-Carlo and exact oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check decomposition invariants")
-    _add_common(p)
+    def command(name, handler, text, *options):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(handler=handler)
+        for option in options + ("--output", "--format"):
+            p.add_argument(option, **_OPTIONS[option])
+        return p
 
-    p = sub.add_parser("project", help="project a system onto a subspace")
-    _add_common(p, subspace=True)
-
-    p = sub.add_parser("bound", help="evaluate bound formulas")
-    _add_common(p, subspace=True)
-
-    p = sub.add_parser("verify", help="compare bounds against oracles")
+    command("validate", cmd_validate, "check decomposition invariants",
+            "--input", "--tol-identity")
+    command("project", cmd_project, "project a system onto a subspace",
+            "--input", "--subspace", "--tol-proj")
+    command("bound", cmd_bound, "evaluate bound formulas",
+            "--input", "--subspace", "--bounds", "--force", "--tol-proj")
+    p = command("verify", cmd_verify, "compare bounds against oracles",
+                "--input", "--subspace", "--bounds", "--oracle", "--force",
+                "--samples", "--seed", "--tol-proj")
     p.add_argument("what", nargs="?", default="section",
                    choices=["section", "parseval", "wills"])
-    _add_common(p, subspace=True)
-
-    p = sub.add_parser("construct", help="emit a canonical decomposition")
+    p = command("construct", cmd_construct, "emit a canonical decomposition",
+                "--k", "--n", "--one-sided")
     p.add_argument("body", choices=["hadamard", "cube", "simplex"])
-    p.add_argument("--k", type=int, default=2)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--one-sided", action="store_true", dest="one_sided")
-    _add_common(p)
-
-    p = sub.add_parser("sweep", help="bounds vs oracle over random subspaces")
-    p.add_argument("--count", type=int, default=10)
-    p.add_argument("--k", type=int, default=2)
-    _add_common(p)
+    command("sweep", cmd_sweep, "bounds vs oracle over random subspaces",
+            "--input", "--count", "--k", "--bounds", "--force", "--samples",
+            "--seed", "--tol-proj")
     return parser
 
 
-_HANDLERS = {
-    "validate": cmd_validate,
-    "project": cmd_project,
-    "bound": cmd_bound,
-    "verify": cmd_verify,
-    "construct": cmd_construct,
-    "sweep": cmd_sweep,
-}
-
-
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        args = build_parser().parse_args(argv)
+        return args.handler(args)
     except GateError as exc:
         print(f"gate violation: {exc}", file=sys.stderr)
         return EXIT_GATE

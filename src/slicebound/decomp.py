@@ -97,10 +97,9 @@ class ValidationReport:
     trace_residual: float
     centering_residual: float
     checks: dict = field(default_factory=dict)
-    near_threshold: list = field(default_factory=list)
 
 
-def validate(decomp, tol_unit=TOL_UNIT, tol_identity=TOL_IDENTITY):
+def validate(decomp, tol_identity=TOL_IDENTITY):
     """Check the identity-resolution invariants, returning residuals."""
     if decomp.dim < 1:
         raise StructuralError("dim must be >= 1")
@@ -111,7 +110,7 @@ def validate(decomp, tol_unit=TOL_UNIT, tol_identity=TOL_IDENTITY):
     trace_res = float(abs(decomp.weights.sum() - decomp.dim))
     cent_res = decomp.centering_residual()
     checks = {
-        "unit_norms": unit_res <= tol_unit,
+        "unit_norms": unit_res <= TOL_UNIT,
         "identity_resolution": id_res <= tol_identity,
         "trace": trace_res <= tol_identity,
     }
@@ -306,14 +305,14 @@ class Lift:
         return op_norm_residual(mat, np.eye(d))
 
 
-def lift(proj, tol_identity=TOL_IDENTITY):
+def lift(proj):
     """Lift a projected decomposition to an orthonormal frame of R^{m0}."""
     m0, k = proj.m0, proj.k
     if m0 < k:
         raise StructuralError(f"need m0 >= k, got m0={m0}, k={k}")
     rows = np.sqrt(proj.tilde_weights)[None, :] * proj.directions.T  # (k, m0)
     gram_res = op_norm_residual(rows @ rows.T, np.eye(k))
-    if gram_res > tol_identity:
+    if gram_res > TOL_IDENTITY:
         raise StructuralError(
             f"projected system rows not orthonormal (residual {gram_res:.3e})"
         )
@@ -361,10 +360,10 @@ class NonsymLift:
         return self.lifted_subspace.k - 1
 
 
-def lift_nonsymmetric(decomp, F, tol_identity=TOL_IDENTITY):
+def lift_nonsymmetric(decomp, F):
     """Lift a centered decomposition and a subspace F one dimension up."""
     cent = decomp.centering_residual()
-    if cent > tol_identity:
+    if cent > TOL_IDENTITY:
         raise StructuralError(
             f"decomposition not centered (residual {cent:.3e})"
         )

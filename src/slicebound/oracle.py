@@ -149,7 +149,7 @@ def mc_kp_section_volume(ball, H, samples, seed):
         samples, seed, H.k, radius)
 
 
-def _complement_integral(a, b, w, d, quad_tol):
+def _complement_integral(a, b, w, d):
     """Integral over R^d of prod_j indicator_ft(a_j, b_j <y, w_j>).
 
     a: half-widths; b: defect scales sqrt(1-tc); w: rows in R^d.
@@ -190,8 +190,7 @@ def _complement_integral(a, b, w, d, quad_tol):
         def angular(phi):
             return radial_value_safe(np.array([math.cos(phi), math.sin(phi)]), 1)
 
-        v, _ = integrate.quad(angular, 0.0, math.pi,
-                              epsabs=quad_tol * 0.2, limit=400)
+        v, _ = integrate.quad(angular, 0.0, math.pi, epsabs=2e-9, limit=400)
         return 2.0 * v, False
     # d = 3: deterministic sphere grid for the angular average; the radial
     # integral stays exact, but the kinked angular integrand limits the
@@ -201,7 +200,7 @@ def _complement_integral(a, b, w, d, quad_tol):
     return 4.0 * math.pi * acc / len(dirs), True
 
 
-def parseval_check(proj, quad_tol=1e-8, samples=10 ** 6, seed=0):
+def parseval_check(proj, samples=10 ** 6, seed=0):
     """Two-sided check of the section-volume Fourier identity.
 
     lhs: volume of the section polytope (exact when k <= EXACT_MAX_K, MC
@@ -240,7 +239,7 @@ def parseval_check(proj, quad_tol=1e-8, samples=10 ** 6, seed=0):
         a = a_all[lf.complement_indices]
         b = np.sqrt(lf.defect_weights)
         integral, used_mc = _complement_integral(
-            a, b, lf.complement_vectors, d, quad_tol)
+            a, b, lf.complement_vectors, d)
         gates["mc_rhs"] = used_mc
         rhs = const * integral / (2.0 * math.pi) ** d
 
@@ -254,11 +253,11 @@ def parseval_check(proj, quad_tol=1e-8, samples=10 ** 6, seed=0):
     return lhs, rhs, gates
 
 
-def wills_oracle(poly, samples, seed, margin=3.0):
+def wills_oracle(poly, samples, seed):
     """MC estimate of the Wills functional: integral of exp(-pi dist^2)."""
     _check_bounded(poly)
     k = poly.k
-    radius = poly.circumradius + margin
+    radius = poly.circumradius + 3.0   # exp(-pi dist^2) < 1e-12 beyond
     env = unit_ball_volume(k) * radius ** k
     normals, offsets = poly.expanded_constraints()
     scale = np.linalg.norm(normals, axis=1)

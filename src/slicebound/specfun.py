@@ -23,13 +23,6 @@ class QuadratureResult:
 
 
 @dataclass(frozen=True)
-class QuadratureOptions:
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-10
-    limit: int = 400
-
-
-@dataclass(frozen=True)
 class WillsIntegrandParams:
     """Parameters of the shifted-Gaussian Fourier integrand: scale alpha > 0
     and exponent p > 1."""
@@ -44,7 +37,7 @@ class WillsIntegrandParams:
             raise DomainError(f"alpha must be >= 0, got {self.alpha}")
 
 
-def sinc_power_integral(p, options=QuadratureOptions()):
+def sinc_power_integral(p):
     """Integral of |sin(x)/x|^p over the real line, p > 1.
 
     Split at multiples of pi; all periods beyond the first are summed in
@@ -66,27 +59,23 @@ def sinc_power_integral(p, options=QuadratureOptions()):
         evals[0] += 1
         return math.sin(u) ** p * math.pi ** (-p) * special.zeta(p, 1.0 + u / math.pi)
 
-    v1, e1 = integrate.quad(
-        head, 0.0, math.pi, epsabs=options.abs_tol, epsrel=options.rel_tol,
-        limit=options.limit,
-    )
-    v2, e2 = integrate.quad(
-        tail, 0.0, math.pi, epsabs=options.abs_tol, epsrel=options.rel_tol,
-        limit=options.limit,
-    )
+    v1, e1 = integrate.quad(head, 0.0, math.pi, epsabs=1e-10, epsrel=1e-10,
+                            limit=400)
+    v2, e2 = integrate.quad(tail, 0.0, math.pi, epsabs=1e-10, epsrel=1e-10,
+                            limit=400)
     return QuadratureResult(2.0 * (v1 + v2), 2.0 * (e1 + e2), evals[0])
 
 
-def ball_integral_bound_check(p, options=QuadratureOptions()):
+def ball_integral_bound_check(p):
     """Compare the sinc-power integral against sqrt(2)*pi/sqrt(p), p >= 2."""
     if p < 2:
         raise GateError(f"comparison asserted only for p >= 2, got p={p}")
-    lhs = sinc_power_integral(p, options).value
+    lhs = sinc_power_integral(p).value
     rhs = math.sqrt(2.0) * math.pi / math.sqrt(p)
     return lhs, rhs, lhs <= rhs + 1e-9
 
 
-def gamma_p(p, y, options=QuadratureOptions(abs_tol=1e-11)):
+def gamma_p(p, y):
     """Fourier transform of exp(-|x|^p) at y, for p in [1, 2]; real-valued."""
     if not 1.0 <= p <= 2.0:
         raise DomainError(f"supported range is 1 <= p <= 2, got p={p}")
@@ -98,14 +87,12 @@ def gamma_p(p, y, options=QuadratureOptions(abs_tol=1e-11)):
     y = float(y)
     if y == 0.0:
         val, _ = integrate.quad(
-            lambda x: math.exp(-x ** p), 0.0, cutoff,
-            epsabs=options.abs_tol, limit=options.limit,
+            lambda x: math.exp(-x ** p), 0.0, cutoff, epsabs=1e-11, limit=400,
         )
     else:
         val, _ = integrate.quad(
             lambda x: math.exp(-x ** p), 0.0, cutoff,
-            weight="cos", wvar=y,
-            epsabs=options.abs_tol, limit=options.limit,
+            weight="cos", wvar=y, epsabs=1e-11, limit=400,
         )
     return 2.0 * val
 
@@ -152,7 +139,7 @@ def dist_sq_ft(alpha, z):
 _M_SINE_ENVELOPE = 2.2
 
 
-def wills_g(params, options=QuadratureOptions(abs_tol=1e-11)):
+def wills_g(params):
     """g(alpha) = integral over R of |A_alpha(s)|^p ds.
 
     The integrand is even; beyond the quadrature window the envelope
@@ -168,10 +155,10 @@ def wills_g(params, options=QuadratureOptions(abs_tol=1e-11)):
         return abs(dist_sq_ft(alpha, s)) ** p
 
     cut1, cut2 = 40.0, 2000.0
-    v1, e1 = integrate.quad(f, 0.0, cut1, epsabs=options.abs_tol,
-                            epsrel=1e-12, limit=options.limit)
-    v2, e2 = integrate.quad(f, cut1, cut2, epsabs=options.abs_tol,
-                            epsrel=1e-10, limit=2000)
+    v1, e1 = integrate.quad(f, 0.0, cut1, epsabs=1e-11, epsrel=1e-12,
+                            limit=400)
+    v2, e2 = integrate.quad(f, cut1, cut2, epsabs=1e-11, epsrel=1e-10,
+                            limit=2000)
     env = 2.0 * _M_SINE_ENVELOPE
     # integral of (env/s^3)^p beyond cut2
     tail = env ** p * cut2 ** (1.0 - 3.0 * p) / (3.0 * p - 1.0)
@@ -233,11 +220,11 @@ def sinc_product_integral(betas, q):
     return sign * (head + tail)
 
 
-def gamma_p_interpolator(p, y_max=200.0, n_grid=4001):
+def gamma_p_interpolator(p):
     """Vectorized approximation of gamma_p on a spline grid.
 
-    Exact closed forms for p = 1 and p = 2; otherwise a cubic spline on
-    [0, y_max] with a power-law continuation ~ y^-(1+p) beyond.
+    Exact closed forms for p = 1 and p = 2; otherwise a cubic spline through
+    4001 points on [0, 200] with a power-law continuation ~ y^-(1+p) beyond.
     """
     if p == 1.0:
         return lambda y: 2.0 / (1.0 + np.asarray(y) ** 2)
@@ -245,7 +232,8 @@ def gamma_p_interpolator(p, y_max=200.0, n_grid=4001):
         return lambda y: math.sqrt(math.pi) * np.exp(-np.asarray(y) ** 2 / 4.0)
     from scipy.interpolate import CubicSpline
 
-    grid = np.linspace(0.0, y_max, n_grid)
+    y_max = 200.0
+    grid = np.linspace(0.0, y_max, 4001)
     vals = np.array([gamma_p(p, y) for y in grid])
     spline = CubicSpline(grid, vals)
     c_tail = vals[-1] * y_max ** (1.0 + p)

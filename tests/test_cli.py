@@ -1,10 +1,11 @@
+import argparse
 import json
 import math
 
 import pytest
 
 from slicebound.bounds import ALL_BOUNDS
-from slicebound.cli import main
+from slicebound.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -121,6 +122,10 @@ class TestProject:
         code, _, err = run(capsys, "verify", "--input", cube3)
         assert code == 1
         assert "--subspace" in err
+        code, out, err = run(capsys, "bound", "--input", cube3)
+        assert code == 1
+        assert out == ""
+        assert "--subspace" in err
 
     def test_inline_basis(self, capsys, cube3):
         code, out, _ = run(capsys, "project", "--input", cube3,
@@ -162,8 +167,9 @@ class TestBound:
         assert "valid names" in err
 
     def test_help_lists_every_bound(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main(["bound", "--help"])
+        assert exc.value.code == 0
         text = capsys.readouterr().out
         for name in ALL_BOUNDS:
             assert name in text
@@ -229,6 +235,26 @@ class TestVerify:
         assert "k <= 3" in err
         # "both" falls back to the Monte-Carlo oracle alone
         code, out, _ = run(capsys, *argv, "--oracle", "both")
+        assert code == 0
+        data = json.loads(out)
+        assert "exact" not in data
+        assert data["mc_mean"] > 0
+
+    @pytest.mark.parametrize("what, extra", [
+        ("section", ("--oracle", "exact")), ("parseval", ()), ("wills", ())])
+    def test_ball_unchecked_exit1(self, capsys, b1_ball, what, extra):
+        code, out, err = run(capsys, "verify", what, "--input", b1_ball,
+                             "--subspace", '{"coordinate": [0, 1]}',
+                             "--samples", "5000", *extra)
+        assert code == 1
+        assert out == ""
+        assert "l_p ball" in err
+
+    def test_ball_section_mc_only(self, capsys, b1_ball):
+        code, out, _ = run(capsys, "verify", "section", "--input", b1_ball,
+                           "--subspace", '{"coordinate": [0, 1]}',
+                           "--samples", "5000", "--oracle", "both",
+                           "--bounds", "k1_upper")
         assert code == 0
         data = json.loads(out)
         assert "exact" not in data
@@ -318,3 +344,80 @@ class TestOutputFile:
         assert code == 0
         assert out == ""
         assert json.loads(dest.read_text())["entries"]
+
+
+SUB = '{"coordinate": [0, 1]}'
+# the options each subcommand reads; nothing else is accepted
+SURFACE = {
+    "validate": {"--input", "--tol-identity", "--output", "--format"},
+    "project": {"--input", "--subspace", "--tol-proj", "--output",
+                "--format"},
+    "bound": {"--input", "--subspace", "--bounds", "--force", "--tol-proj",
+              "--output", "--format"},
+    "verify": {"what", "--input", "--subspace", "--bounds", "--oracle",
+               "--force", "--samples", "--seed", "--tol-proj", "--output",
+               "--format"},
+    "construct": {"body", "--k", "--n", "--one-sided", "--output",
+                  "--format"},
+    "sweep": {"--input", "--count", "--k", "--bounds", "--force",
+              "--samples", "--seed", "--tol-proj", "--output", "--format"},
+}
+# an accepted value for each option; None for flags
+VALUES = {
+    "--input": "cube3.json", "--subspace": SUB,
+    "--bounds": "ab_old", "--oracle": "mc", "--force": None,
+    "--samples": "5000", "--seed": "1", "--tol-identity": "1e-8",
+    "--tol-proj": "1e-9", "--count": "1", "--k": "1", "--n": "3",
+    "--one-sided": None, "--output": "out.json", "--format": "json",
+}
+# an invocation of each subcommand that succeeds; CUBE3 stands for the
+# cube3 fixture's path
+BASE = {
+    "validate": ["validate", "--input", "CUBE3"],
+    "project": ["project", "--input", "CUBE3", "--subspace", SUB],
+    "bound": ["bound", "--input", "CUBE3", "--subspace", SUB,
+              "--bounds", "ab_old"],
+    "verify": ["verify", "section", "--input", "CUBE3", "--subspace", SUB,
+               "--samples", "5000", "--bounds", "ab_old"],
+    "construct": ["construct", "cube", "--n", "3"],
+    "sweep": ["sweep", "--input", "CUBE3", "--count", "1",
+              "--samples", "5000", "--bounds", "ab_old"],
+}
+UNREAD = ([(cmd, opt) for cmd in SURFACE for opt in VALUES
+           if opt not in SURFACE[cmd]]
+          + [(f"verify {what}", opt) for what in ("parseval", "wills")
+             for opt in ("--bounds", "--oracle", "--force")])
+
+
+class TestOptionSurface:
+    def test_options_per_subcommand(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        found = {
+            name: {a.option_strings[0] if a.option_strings else a.dest
+                   for a in p._actions
+                   if not isinstance(a, argparse._HelpAction)}
+            for name, p in sub.choices.items()}
+        assert found == SURFACE
+
+    @pytest.mark.parametrize("cmd, option", UNREAD)
+    def test_unread_option_exit1(self, capsys, cube3, cmd, option):
+        name, _, what = cmd.partition(" ")
+        argv = [cube3 if a == "CUBE3" else a for a in BASE[name]]
+        if what:
+            argv[1] = what
+        argv.append(option)
+        if VALUES[option] is not None:
+            argv.append(VALUES[option])
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert option in err
+
+    @pytest.mark.parametrize("argv", [
+        ["construct"], ["verify", "--oracle", "bogus"], [],
+        ["validate", "--format", "xml"]])
+    def test_usage_error_exit1(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert "error" in err

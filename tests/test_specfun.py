@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from slicebound.bodies import KpBall, cube_decomposition
+from slicebound.bounds import bound_kp_lower
+from slicebound.decomp import Subspace
 from slicebound.errors import DomainError
 from slicebound.specfun import (
-    QuadratureOptions,
+    QuadratureResult,
     WillsIntegrandParams,
     ball_integral_bound_check,
     dist_sq_ft,
@@ -214,8 +217,19 @@ class TestSincProductIntegral:
             sinc_product_integral([1.0], 2)
 
 
-class TestQuadratureOptions:
-    def test_defaults_used(self):
-        opts = QuadratureOptions(abs_tol=1e-6)
-        res = sinc_power_integral(3.0, opts)
-        assert res.value == pytest.approx(REF_SINC_POWER[3.0], abs=1e-5)
+class TestQuadratureSettings:
+    def test_pinned_values(self):
+        # exact: these values pin each quadrature's tolerances and limits,
+        # and the gamma_p spline grid
+        assert sinc_power_integral(3.0) == QuadratureResult(
+            2.416888418980815, 2.683285170702393e-14, 42)
+        assert gamma_p(1.5, 2.0) == 0.531178117900647
+        fn = gamma_p_interpolator(1.3)
+        assert float(fn(0.7)) == 1.4720205957113541
+        assert float(fn(250.0)) == 6.357005460794507e-06
+        assert wills_g(WillsIntegrandParams(alpha=0.5, p=3.0)) == \
+            QuadratureResult(17.622218080668794, 2.3288090256115313e-11, 966)
+        ball = KpBall(cube_decomposition(3, one_sided=True), 1.5,
+                      np.ones(3))
+        H = Subspace(3, np.array([[1.0, 1.0, 0.0]]))
+        assert bound_kp_lower(ball, H) == 1.7817974574868543
