@@ -18,8 +18,9 @@ from .bodies import vol_ball_p, vol_simplex_inradius1
 from .decomp import project
 from .errors import DegenerateRegimeError, GateError, StructuralError
 from .specfun import (
+    SINC_POWER_MAX_P,
     WillsIntegrandParams,
-    gamma_p_interpolator,
+    gamma_p,
     sinc_power_integral,
     wills_g,
 )
@@ -86,7 +87,7 @@ def bound_ab_old(proj):
 def _sinc_power_value(p):
     # Beyond the quadrature-friendly range the Laplace asymptotic of the
     # sinc-power integral is accurate to ~p^-2 relative.
-    if p > 1e5:
+    if p > SINC_POWER_MAX_P:
         return math.sqrt(6.0 * math.pi / p) * (1.0 - 3.0 / (20.0 * p))
     return sinc_power_integral(p).value
 
@@ -211,7 +212,8 @@ def bound_kp_lower(ball, H):
 
     Integrates t^(beta-1) * prod_j gamma_p(sqrt(t s_j)) over t > 0 with
     beta = (m0-k)/2 and s_j = (c_j / alpha_j^(2/p)) (1 - tc_j); indices with
-    tc_j = 1 contribute the constant gamma_p(0)."""
+    tc_j = 1 contribute the constant gamma_p(0).  gamma_p is computed by its
+    own quadrature at each node of the outer one."""
     proj, alphas = _ball_projection(ball, H)
     m0, k = proj.m0, proj.k
     p = ball.p
@@ -220,13 +222,12 @@ def bound_kp_lower(ball, H):
     beta = (m0 - k) / 2.0
     s = proj.weights / alphas ** (2.0 / p) * (1.0 - proj.tilde_weights)
     s = np.maximum(s, 0.0)
-    gp = gamma_p_interpolator(p)
-    const = float(np.prod([float(gp(0.0)) for sj in s if sj < LIMIT_EPS]))
-    active = s[s >= LIMIT_EPS]
+    const = gamma_p(p, 0.0) ** int(np.sum(s < LIMIT_EPS))
+    active = s[s >= LIMIT_EPS].tolist()
 
     def integrand(t):
-        root = np.sqrt(t * active)
-        return t ** (beta - 1.0) * float(np.prod(gp(root)))
+        return t ** (beta - 1.0) * math.prod(
+            gamma_p(p, math.sqrt(t * sj)) for sj in active)
 
     v1, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-11, limit=400)
     v2, _ = integrate.quad(integrand, 1.0, np.inf, epsabs=1e-11, limit=400)
@@ -341,6 +342,12 @@ def _is_l1(bh):
     return bh[0].p == 1.0
 
 
+def _m0_above_k(bh):
+    # the lower bounds' regime; they raise DegenerateRegimeError at m0 = k
+    proj, _ = _ball_projection(*bh)
+    return proj.m0 > proj.k
+
+
 _REGISTRY = {
     "symmetric_case1": _Bound(
         "proj", lambda proj, force, lam: bound_symmetric_case1(proj, force),
@@ -367,9 +374,11 @@ _REGISTRY = {
         "ball", lambda bh, force, lam: bound_k1_intermediate(*bh),
         in_all=_is_l1),
     "k1_lower": _Bound(
-        "ball", lambda bh, force, lam: bound_k1_lower(*bh), in_all=_is_l1),
+        "ball", lambda bh, force, lam: bound_k1_lower(*bh),
+        in_all=lambda bh: _is_l1(bh) and _m0_above_k(bh)),
     "kp_upper": _Bound("ball", lambda bh, force, lam: bound_kp_upper(*bh)),
-    "kp_lower": _Bound("ball", lambda bh, force, lam: bound_kp_lower(*bh)),
+    "kp_lower": _Bound("ball", lambda bh, force, lam: bound_kp_lower(*bh),
+                       in_all=_m0_above_k),
     "nonsym_fourier": _Bound(
         "nl", lambda nl, force, lam: bound_nonsym_fourier(nl, force),
         _kappa_half, "all kappa >= 1/2"),

@@ -6,7 +6,8 @@ Each subcommand accepts only the options its handler reads.
 Exit codes: 0 success; 1 structural error: bad input, schema or domain, an
 input a check cannot handle, or a usage error (an unknown or unread option,
 a bad choice, a missing argument); 2 gate violation (with --force the
-formula values are still emitted).
+formula values are still emitted) or a Wills bound that fails to dominate
+its Monte-Carlo oracle.
 """
 
 import argparse
@@ -24,7 +25,8 @@ from .errors import GateError, SliceboundError, StructuralError
 EXIT_OK = 0
 EXIT_STRUCTURAL = 1
 EXIT_GATE = 2
-# a Monte-Carlo side of an identity agrees within this many standard errors
+# a Monte-Carlo side of an identity agrees, and a Monte-Carlo value is
+# dominated, within this many standard errors
 MC_SIGMAS = 5.0
 
 
@@ -186,6 +188,9 @@ def _section_certificate(system, ball, H, args, seed, oracle_kind):
 
 
 def cmd_verify(args):
+    if args.what not in ("section", "parseval", "wills"):
+        raise StructuralError(f"unknown verify mode {args.what!r}; valid "
+                              "modes: section, parseval, wills")
     if args.what != "section":            # options only sections read
         given = [f"--{name}" for name in ("bounds", "oracle", "force")
                  if getattr(args, name) not in (None, False)]
@@ -223,12 +228,13 @@ def cmd_verify(args):
     poly = bodies.section_polytope(proj)
     est = oracle.wills_oracle(poly, args.samples, seed)
     bound_val = bounds.bound_wills_functional(proj, 1.0)
+    dominates = bound_val >= est.mean - MC_SIGMAS * est.std_error
     _emit({"oracle_mean": _fmt(est.mean),
            "oracle_std_error": _fmt(est.std_error),
            "bound": _fmt(bound_val),
-           "dominates": bound_val >= est.mean - 3 * est.std_error,
+           "dominates": dominates,
            "samples": est.samples, "seed": est.seed}, args)
-    return EXIT_OK
+    return EXIT_OK if dominates else EXIT_GATE
 
 
 def cmd_construct(args):
@@ -326,8 +332,10 @@ def build_parser():
     p = command("verify", cmd_verify, "compare bounds against oracles",
                 "--input", "--subspace", "--bounds", "--oracle", "--force",
                 "--samples", "--seed", "--tol-proj")
+    # checked in cmd_verify: with argparse choices, an unknown option's
+    # value would be reported as an invalid mode instead
     p.add_argument("what", nargs="?", default="section",
-                   choices=["section", "parseval", "wills"])
+                   help="section (the default), parseval or wills")
     p = command("construct", cmd_construct, "emit a canonical decomposition",
                 "--k", "--n", "--one-sided")
     p.add_argument("body", choices=["hadamard", "cube", "simplex"])

@@ -37,8 +37,13 @@ class WillsIntegrandParams:
             raise DomainError(f"alpha must be >= 0, got {self.alpha}")
 
 
+# Above this p the integrand's peak at 0 is too narrow for the quadrature,
+# which then returns values near 0 with a near-0 error estimate.
+SINC_POWER_MAX_P = 1e5
+
+
 def sinc_power_integral(p):
-    """Integral of |sin(x)/x|^p over the real line, p > 1.
+    """Integral of |sin(x)/x|^p over the real line, 1 < p <= SINC_POWER_MAX_P.
 
     Split at multiples of pi; all periods beyond the first are summed in
     closed form through the Hurwitz zeta function, so only two smooth
@@ -46,6 +51,9 @@ def sinc_power_integral(p):
     """
     if p <= 1:
         raise DomainError(f"integral diverges for p <= 1 (got p={p})")
+    if p > SINC_POWER_MAX_P:
+        raise DomainError(
+            f"quadrature unreliable for p > {SINC_POWER_MAX_P:g} (got p={p})")
     evals = [0]
 
     def head(u):
@@ -76,24 +84,24 @@ def ball_integral_bound_check(p):
 
 
 def gamma_p(p, y):
-    """Fourier transform of exp(-|x|^p) at y, for p in [1, 2]; real-valued."""
+    """Fourier transform of exp(-|x|^p) at y, for p in [1, 2]; real-valued.
+
+    Closed forms at p = 1, at p = 2 and at y = 0 (2 Gamma(1 + 1/p));
+    otherwise one cosine-weighted quadrature over [0, cutoff]."""
     if not 1.0 <= p <= 2.0:
         raise DomainError(f"supported range is 1 <= p <= 2, got p={p}")
     if p == 1.0:
         return 2.0 / (1.0 + y * y)
     if p == 2.0:
         return math.sqrt(math.pi) * math.exp(-y * y / 4.0)
-    cutoff = (36.8) ** (1.0 / p)  # exp(-x^p) < 1e-16 beyond
     y = float(y)
     if y == 0.0:
-        val, _ = integrate.quad(
-            lambda x: math.exp(-x ** p), 0.0, cutoff, epsabs=1e-11, limit=400,
-        )
-    else:
-        val, _ = integrate.quad(
-            lambda x: math.exp(-x ** p), 0.0, cutoff,
-            weight="cos", wvar=y, epsabs=1e-11, limit=400,
-        )
+        return 2.0 * math.gamma(1.0 + 1.0 / p)
+    cutoff = (36.8) ** (1.0 / p)  # exp(-x^p) < 1e-16 beyond
+    val, _ = integrate.quad(
+        lambda x: math.exp(-x ** p), 0.0, cutoff,
+        weight="cos", wvar=y, epsabs=1e-11, limit=400,
+    )
     return 2.0 * val
 
 
@@ -218,30 +226,3 @@ def sinc_product_integral(betas, q):
         acc += np.prod(eps) * t_tail(g, q)
     tail = float((pref * acc).real)
     return sign * (head + tail)
-
-
-def gamma_p_interpolator(p):
-    """Vectorized approximation of gamma_p on a spline grid.
-
-    Exact closed forms for p = 1 and p = 2; otherwise a cubic spline through
-    4001 points on [0, 200] with a power-law continuation ~ y^-(1+p) beyond.
-    """
-    if p == 1.0:
-        return lambda y: 2.0 / (1.0 + np.asarray(y) ** 2)
-    if p == 2.0:
-        return lambda y: math.sqrt(math.pi) * np.exp(-np.asarray(y) ** 2 / 4.0)
-    from scipy.interpolate import CubicSpline
-
-    y_max = 200.0
-    grid = np.linspace(0.0, y_max, 4001)
-    vals = np.array([gamma_p(p, y) for y in grid])
-    spline = CubicSpline(grid, vals)
-    c_tail = vals[-1] * y_max ** (1.0 + p)
-
-    def fn(y):
-        y = np.abs(np.asarray(y, dtype=float))
-        out = np.where(y <= y_max, spline(np.minimum(y, y_max)),
-                       c_tail / np.maximum(y, y_max) ** (1.0 + p))
-        return out
-
-    return fn

@@ -311,6 +311,15 @@ class TestKpBounds:
             assert bound_kp_lower(ball, H) == pytest.approx(
                 vol_ball_p(k, 2.0), rel=1e-6)
 
+    @pytest.mark.parametrize("p", [1.0, 1.1, 1.3, 1.5, 1.7, 1.9, 2.0])
+    def test_lower_line_equality(self, p):
+        # the (1, 1, 0) line meets B_p^3 in a segment of length
+        # 2^(3/2 - 1/p), which the Plancherel lower bound attains
+        ball = kp_ball(cube_decomposition(3, one_sided=True), p, np.ones(3))
+        H = Subspace(3, np.array([[1.0, 1.0, 0.0]]))
+        assert bound_kp_lower(ball, H) == pytest.approx(
+            2.0 ** (1.5 - 1.0 / p), rel=1e-10)
+
     def test_lower_below_upper(self):
         rng = np.random.default_rng(15)
         for p in (1.0, 1.5, 2.0):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from slicebound import bounds
 from slicebound.bounds import ALL_BOUNDS
 from slicebound.cli import build_parser, main
 
@@ -260,6 +261,21 @@ class TestVerify:
         assert "exact" not in data
         assert data["mc_mean"] > 0
 
+    def test_ball_section_m0_equals_k(self, capsys, b1_ball):
+        # the lower bounds degenerate on a coordinate section (m0 = k), so
+        # "all" leaves them out; asked for by name they still fail
+        argv = ("verify", "section", "--input", b1_ball,
+                "--subspace", '{"coordinate": [0, 1]}', "--samples", "5000")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        names = {e["name"] for e in json.loads(out)["bounds"]}
+        assert {"k1_upper", "k1_intermediate", "kp_upper"} <= names
+        assert not names & {"k1_lower", "kp_lower"}
+        code, out, err = run(capsys, *argv, "--bounds", "kp_lower")
+        assert code == 1
+        assert out == ""
+        assert "m0 = k" in err
+
     def test_parseval(self, capsys, cube3_one_sided):
         code, out, _ = run(capsys, "verify", "parseval",
                            "--input", cube3_one_sided,
@@ -291,6 +307,25 @@ class TestVerify:
         data = json.loads(out)
         assert data["dominates"]
         assert data["bound"] == pytest.approx(9.0, rel=1e-9)
+
+    def test_wills_full_space(self, capsys, cube3):
+        # the bound is sharp here: it equals W(cube) = 27
+        code, out, _ = run(capsys, "verify", "wills", "--input", cube3,
+                           "--subspace", '{"coordinate": [0, 1, 2]}',
+                           "--seed", "1")
+        assert code == 0
+        data = json.loads(out)
+        assert data["dominates"]
+        assert data["bound"] == pytest.approx(27.0, rel=1e-9)
+
+    def test_wills_not_dominating_exit2(self, capsys, cube3, monkeypatch):
+        monkeypatch.setattr(bounds, "bound_wills_functional",
+                            lambda proj, lam: 1e-3)
+        code, out, _ = run(capsys, "verify", "wills", "--input", cube3,
+                           "--subspace", '{"coordinate": [0, 1]}',
+                           "--samples", "5000", "--seed", "3")
+        assert code == 2
+        assert json.loads(out)["dominates"] is False
 
     def test_seed_env(self, capsys, cube3, monkeypatch):
         monkeypatch.setenv("SLICEBOUND_SEED", "17")
@@ -421,3 +456,17 @@ class TestOptionSurface:
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert "error" in err
+
+    def test_verify_unknown_option_named(self, capsys, cube3):
+        code, out, err = run(capsys, "verify", "--input", cube3,
+                             "--subspace", SUB, "--n", "3")
+        assert code == 1
+        assert out == ""
+        assert "--n" in err
+
+    def test_verify_unknown_mode(self, capsys, cube3):
+        code, out, err = run(capsys, "verify", "bogus", "--input", cube3,
+                             "--subspace", SUB)
+        assert code == 1
+        assert out == ""
+        assert "section, parseval, wills" in err

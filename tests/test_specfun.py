@@ -8,12 +8,12 @@ from slicebound.bounds import bound_kp_lower
 from slicebound.decomp import Subspace
 from slicebound.errors import DomainError
 from slicebound.specfun import (
+    SINC_POWER_MAX_P,
     QuadratureResult,
     WillsIntegrandParams,
     ball_integral_bound_check,
     dist_sq_ft,
     gamma_p,
-    gamma_p_interpolator,
     gauss_sine_integral,
     indicator_ft,
     sinc_power_integral,
@@ -27,10 +27,31 @@ REF_SINC_POWER = {
     3.0: 2.416888418980815,
     6.0: 1.7278759594743863,
 }
-REF_GAMMA_15 = {
-    0.0: 1.8054905859018672,
-    1.0: 1.2694431959375853,
-    3.0: 0.19797954750379031,
+# gamma_p(p, y) = 2 * integral_0^inf exp(-x^p) cos(x y) dx, by mpmath.quad
+# at 30 digits, split at the zeros of cos(x y) and geometrically towards 0
+REF_GAMMA = {
+    (1.1, 0.0): 1.9298249780221029011,
+    (1.1, 0.0125): 1.9296007280064341078,
+    (1.1, 0.725): 1.3713524424796527094,
+    (1.1, 3.3333): 0.16444202268032389057,
+    (1.1, 20.0125): 0.0038696277692711430294,
+    (1.3, 0.0): 1.8471534431119559743,
+    (1.3, 0.0125): 1.8470125700699314011,
+    (1.3, 0.725): 1.4492325272258057569,
+    (1.3, 3.3333): 0.15805764815464249781,
+    (1.3, 20.0125): 0.002174494347418796387,
+    (1.5, 0.0): 1.8054905859018672226,
+    (1.5, 0.0125): 1.8053864230032152319,
+    (1.5, 0.725): 1.4940435547489258781,
+    (1.5, 1.0): 1.2694431959375853106,
+    (1.5, 3.0): 0.19797954750379030528,
+    (1.5, 3.3333): 0.14665347127125106529,
+    (1.5, 20.0125): 0.0010875595563666069557,
+    (1.65, 0.0): 1.7884245243323445078,
+    (1.65, 0.0125): 1.7883358586891955438,
+    (1.65, 0.725): 1.5169499005015454329,
+    (1.65, 3.3333): 0.13603587222699598859,
+    (1.65, 20.0125): 0.00057335258955378469417,
 }
 REF_DIST_SQ_FT = {
     (0.7, 1.3): 1.4522114306871429,
@@ -65,6 +86,16 @@ class TestSincPowerIntegral:
         vals = [sinc_power_integral(p).value for p in (2, 3, 4, 6, 9)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
+    def test_large_p(self):
+        # at p = 1e7 the quadrature returned 7.0e-11 against 1.37e-3
+        with pytest.raises(DomainError):
+            sinc_power_integral(1e7)
+        # at the limit it meets the Laplace form that bounds uses beyond it
+        p = SINC_POWER_MAX_P
+        laplace = math.sqrt(6.0 * math.pi / p) * (1.0 - 3.0 / (20.0 * p))
+        assert sinc_power_integral(p).value == pytest.approx(laplace,
+                                                             rel=1e-9)
+
 
 class TestBallInequality:
     @pytest.mark.parametrize("p", [2.0, 3.5, 5.0, 10.0])
@@ -93,9 +124,15 @@ class TestGammaP:
             assert gamma_p(2.0, y) == pytest.approx(
                 math.sqrt(math.pi) * math.exp(-y * y / 4), rel=1e-12)
 
-    @pytest.mark.parametrize("y", sorted(REF_GAMMA_15))
-    def test_p15_reference(self, y):
-        assert gamma_p(1.5, y) == pytest.approx(REF_GAMMA_15[y], abs=1e-9)
+    @pytest.mark.parametrize("p, y", sorted(REF_GAMMA))
+    def test_reference(self, p, y):
+        # abs 2e-11: the quadrature's own target
+        assert gamma_p(p, y) == pytest.approx(REF_GAMMA[p, y], abs=2e-11)
+
+    @pytest.mark.parametrize("p", [1.1, 1.3, 1.5, 1.65])
+    def test_at_zero_closed_form(self, p):
+        assert gamma_p(p, 0.0) == pytest.approx(
+            2.0 * math.gamma(1.0 + 1.0 / p), rel=1e-15)
 
     def test_even_in_y(self):
         assert gamma_p(1.5, 2.0) == pytest.approx(gamma_p(1.5, -2.0),
@@ -104,17 +141,6 @@ class TestGammaP:
     def test_domain(self):
         with pytest.raises(DomainError):
             gamma_p(2.5, 0.0)
-
-    def test_interpolator_matches_quadrature(self):
-        fn = gamma_p_interpolator(1.3)
-        for y in (0.0, 0.7, 5.0, 30.0):
-            assert float(fn(y)) == pytest.approx(gamma_p(1.3, y), abs=1e-7)
-
-    def test_interpolator_exact_endpoints(self):
-        f1 = gamma_p_interpolator(1.0)
-        f2 = gamma_p_interpolator(2.0)
-        assert float(f1(1.0)) == pytest.approx(1.0, rel=1e-14)
-        assert float(f2(0.0)) == pytest.approx(math.sqrt(math.pi), rel=1e-14)
 
 
 class TestFourierTransforms:
@@ -219,17 +245,13 @@ class TestSincProductIntegral:
 
 class TestQuadratureSettings:
     def test_pinned_values(self):
-        # exact: these values pin each quadrature's tolerances and limits,
-        # and the gamma_p spline grid
+        # exact: these values pin each quadrature's tolerances and limits
         assert sinc_power_integral(3.0) == QuadratureResult(
             2.416888418980815, 2.683285170702393e-14, 42)
         assert gamma_p(1.5, 2.0) == 0.531178117900647
-        fn = gamma_p_interpolator(1.3)
-        assert float(fn(0.7)) == 1.4720205957113541
-        assert float(fn(250.0)) == 6.357005460794507e-06
         assert wills_g(WillsIntegrandParams(alpha=0.5, p=3.0)) == \
             QuadratureResult(17.622218080668794, 2.3288090256115313e-11, 966)
         ball = KpBall(cube_decomposition(3, one_sided=True), 1.5,
                       np.ones(3))
         H = Subspace(3, np.array([[1.0, 1.0, 0.0]]))
-        assert bound_kp_lower(ball, H) == 1.7817974574868543
+        assert bound_kp_lower(ball, H) == 1.781797436275039
