@@ -126,7 +126,8 @@ def bound_wills_functional(proj, lam):
             continue
         p = 1.0 / defect
         g = wills_g(WillsIntegrandParams(alpha=alpha, p=p))
-        factor = g.value / math.sqrt(defect)
+        # the factor increases with g, so the upper end of g's interval
+        factor = (g.value + g.abs_error_estimate) / math.sqrt(defect)
         log_acc += defect * math.log(factor)
     return math.exp(log_acc)
 

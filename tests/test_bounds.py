@@ -35,9 +35,11 @@ from slicebound import (
     section_polytope,
     simplex_decomposition,
 )
+from slicebound import bounds as bounds_module
 from slicebound.bodies import vol_ball_p, vol_simplex_inradius1
 from slicebound.decomp import JohnDecomposition, ProjectedDecomposition
 from slicebound.oracle import exact_volume_smallk
+from slicebound.specfun import QuadratureResult
 
 ALL_NAMES = (
     "symmetric_case1", "symmetric_case1_coarse", "symmetric_case2", "ab_old",
@@ -243,6 +245,18 @@ class TestWillsFunctional:
         proj = project(cube_decomposition(2), Subspace.coordinate(2, [0]))
         with pytest.raises(StructuralError):
             bound_wills_functional(proj, 0.0)
+
+    def test_uses_upper_end_of_g(self, monkeypatch):
+        # each factor increases with g, so an upper bound takes value + error
+        proj = project(cube_decomposition(3), Subspace(3, PLANE))
+
+        def bound_with(value, error):
+            monkeypatch.setattr(bounds_module, "wills_g",
+                                lambda params: QuadratureResult(value, error, 1))
+            return bound_wills_functional(proj, 1.0)
+
+        assert bound_with(2.0, 0.5) == bound_with(2.5, 0.0)
+        assert bound_with(2.0, 0.5) > bound_with(2.0, 0.0)
 
 
 class TestMeanWidth:
@@ -457,7 +471,7 @@ REGISTRY_REFERENCE = {
         ("ab_old", 5.656854249492381, "none", True, "8c9eba7b06af040a"),
         ("wills_volume", 25.902542187945432, "none", True,
          "8c9eba7b06af040a"),
-        ("wills_functional", 15.412825394679068, "none", True,
+        ("wills_functional", 15.412825391312195, "none", True,
          "8c9eba7b06af040a"),
         ("mean_width", 4.82842712474619, "none", True, "8c9eba7b06af040a"),
     ],

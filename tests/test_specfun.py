@@ -11,6 +11,7 @@ from slicebound.specfun import (
     SINC_POWER_MAX_P,
     QuadratureResult,
     WillsIntegrandParams,
+    _M_SINE_ENVELOPE,
     ball_integral_bound_check,
     dist_sq_ft,
     gamma_p,
@@ -59,6 +60,33 @@ REF_DIST_SQ_FT = {
 }
 # Parseval closed form at p = 2: 2 pi (2 alpha + 1/sqrt(2))
 REF_WILLS_G_HALF_P2 = 10.726068245337953
+# g(alpha, p) over wills_g's window [-2000, 2000]: mpmath.quad at 40 digits,
+# split at the zeros of A_alpha (found by findroot below 25 and equal to
+# the multiples of pi/alpha beyond) and at steps of 1/2 up to 30 and powers
+# of 2; A_alpha's Dawson term through erfi.  At alpha = 0, 2 pi/sqrt(p).
+# The tail beyond the window is bounded by TestSineEnvelope.
+REF_WILLS_G = {
+    (0.0, 1.05): "6.13176099962571016598442760833",
+    (0.0, 1.2): "5.7357372095454765479691053612",
+    (0.0, 1.5): "5.13019932064745638217614543868",
+    (0.0, 2.0): "4.44288293815836624701588099006",
+    (0.0, 3.0): "3.62759872846843570118815651528",
+    (0.5, 1.05): "8.1447356611869885250691361526",
+    (0.5, 1.2): "8.24092828359511263986602270199",
+    (0.5, 1.5): "8.84864665652690470934005374414",
+    (0.5, 2.0): "10.726068245337951734676585357",
+    (0.5, 3.0): "17.6222180806730451684341536185",
+    (0.7071067811865476, 1.05): "8.68405352906287142609630226983",
+    (0.7071067811865476, 1.2): "8.9721553973870082278887804059",
+    (0.7071067811865476, 1.5): "10.0914287699264621733231819193",
+    (0.7071067811865476, 2.0): "13.3286488144750983600343300188",
+    (0.7071067811865476, 3.0): "26.3283517476712882341670959977",
+    (1.0, 1.05): "9.3111594298211298643362872911",
+    (1.0, 1.2): "9.84865726284624299945312696355",
+    (1.0, 1.5): "11.6757899985094531129499943484",
+    (1.0, 2.0): "17.0092535525175382147412640836",
+    (1.0, 3.0): "41.5074287341144863019989855193",
+}
 
 
 class TestSincPowerIntegral:
@@ -181,6 +209,17 @@ class TestFourierTransforms:
         assert dist_sq_ft(alpha, z) == pytest.approx(REF_DIST_SQ_FT[key],
                                                      abs=1e-10)
 
+    def test_array_matches_scalar(self):
+        z = np.array([0.0, 1e-6, 0.3, 2.0, 17.5, 900.0])
+        for fn, arg in ((indicator_ft, 0.8), (dist_sq_ft, 0.8),
+                        (dist_sq_ft, 0.0)):
+            got = fn(arg, z)
+            assert got.shape == z.shape
+            assert got == pytest.approx([fn(arg, v) for v in z.tolist()],
+                                        rel=1e-15, abs=1e-300)
+        assert gauss_sine_integral(z) == pytest.approx(
+            [gauss_sine_integral(v) for v in z.tolist()], rel=1e-15)
+
     def test_dist_sq_ft_pure_gaussian(self):
         # alpha = 0 reduces to the Gaussian transform
         z = 1.7
@@ -197,7 +236,15 @@ class TestWillsG:
 
     def test_reference_value(self):
         res = wills_g(WillsIntegrandParams(alpha=0.5, p=2.0))
-        assert res.value == pytest.approx(REF_WILLS_G_HALF_P2, abs=1e-6)
+        assert res.value == pytest.approx(REF_WILLS_G_HALF_P2, rel=1e-10)
+
+    @pytest.mark.parametrize("alpha, p", sorted(REF_WILLS_G))
+    def test_reference_table(self, alpha, p):
+        res = wills_g(WillsIntegrandParams(alpha=alpha, p=p))
+        ref = float(REF_WILLS_G[alpha, p])
+        assert res.value == pytest.approx(ref, rel=1e-10)
+        assert abs(res.value - ref) <= res.abs_error_estimate
+        assert res.evaluations > 0
 
     def test_error_estimate_small(self):
         res = wills_g(WillsIntegrandParams(alpha=1.0, p=3.0))
@@ -208,6 +255,33 @@ class TestWillsG:
             WillsIntegrandParams(alpha=1.0, p=1.0)
         with pytest.raises(DomainError):
             WillsIntegrandParams(alpha=-0.1, p=2.0)
+
+
+class TestSineEnvelope:
+    """_M_SINE_ENVELOPE bounds |1 - s I(s)| s^2 beyond wills_g's window."""
+
+    CUT = 2000.0
+
+    def test_dominates_on_grid(self):
+        s = np.geomspace(self.CUT, 1e6, 200001)
+        vals = np.abs(1.0 - s * gauss_sine_integral(s)) * s * s
+        assert vals.max() <= _M_SINE_ENVELOPE
+        # the bound is near-tight: the limit at infinity is 2 pi
+        assert vals.max() > 2.0 * math.pi - 1e-3
+
+    @pytest.mark.parametrize("s", [2000, 2500, 10 ** 4, 10 ** 5, 10 ** 6,
+                                   10 ** 9])
+    def test_dominates_at_30_digits(self, s):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            s = mpmath.mpf(s)
+            x = s / (2 * mpmath.sqrt(mpmath.pi))
+            # s I(s) = 2x D(x), D(x) = sqrt(pi)/2 exp(-x^2) erfi(x)
+            s_i = 2 * x * mpmath.sqrt(mpmath.pi) / 2 \
+                * mpmath.exp(-x * x) * mpmath.erfi(x)
+            val = abs(1 - s_i) * s * s
+            assert val <= _M_SINE_ENVELOPE
+            assert val > 2 * mpmath.pi
 
 
 class TestSincProductIntegral:
@@ -249,8 +323,9 @@ class TestQuadratureSettings:
         assert sinc_power_integral(3.0) == QuadratureResult(
             2.416888418980815, 2.683285170702393e-14, 42)
         assert gamma_p(1.5, 2.0) == 0.531178117900647
-        assert wills_g(WillsIntegrandParams(alpha=0.5, p=3.0)) == \
-            QuadratureResult(17.622218080668794, 2.3288090256115313e-11, 966)
+        # wills_g uses fixed rules, checked against its reference table
+        assert wills_g(WillsIntegrandParams(alpha=0.5, p=3.0)).value == \
+            pytest.approx(float(REF_WILLS_G[0.5, 3.0]), rel=1e-10)
         ball = KpBall(cube_decomposition(3, one_sided=True), 1.5,
                       np.ones(3))
         H = Subspace(3, np.array([[1.0, 1.0, 0.0]]))
