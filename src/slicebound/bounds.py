@@ -6,6 +6,7 @@ hypothesis raise GateError when it fails; passing ``force=True`` evaluates
 anyway (the report then records the gate as unsatisfied).
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -84,20 +85,25 @@ def bound_ab_old(proj):
     return 2.0 ** proj.k * math.exp(log_prod)
 
 
-def _sinc_power_value(p):
-    # Beyond the quadrature-friendly range the Laplace asymptotic of the
-    # sinc-power integral is accurate to ~p^-2 relative.
+def _sinc_power_upper(p):
+    # The upper end of I_p's interval: value plus error estimate.  Beyond the
+    # quadrature-friendly range the Laplace asymptotic of the sinc-power
+    # integral is accurate to ~p^-2 relative.
     if p > SINC_POWER_MAX_P:
         return math.sqrt(6.0 * math.pi / p) * (1.0 - 3.0 / (20.0 * p))
-    return sinc_power_integral(p).value
+    result = sinc_power_integral(p)
+    return result.value + result.abs_error_estimate
 
 
 def bound_volume_via_wills(proj):
     """Volume bound assembled from sinc-power integrals:
     2^k / pi^(m0-k) * prod_j (1-tc)^(-1/(2p)) I_p^(1/p) (sqrt(tc) t_j)^tc
-    with p_j = 1/(1 - tc_j); factors with tc_j -> 1 use the limit branch."""
+    with p_j = 1/(1 - tc_j); factors with tc_j -> 1 use the limit branch.
+    The factor increases with I_p, so it takes the upper end of I_p's
+    interval, computed once per distinct p."""
     m0, k = proj.m0, proj.k
     log_acc = k * math.log(2.0) - (m0 - k) * math.log(math.pi)
+    sinc_power = functools.cache(_sinc_power_upper)
     for tc, t in zip(proj.tilde_weights, proj.thresholds):
         log_acc += tc * math.log(math.sqrt(tc) * t)
         defect = 1.0 - tc
@@ -105,17 +111,20 @@ def bound_volume_via_wills(proj):
             continue                       # remaining factors tend to 1
         p = 1.0 / defect
         log_acc += -math.log(defect) / (2.0 * p)
-        log_acc += math.log(_sinc_power_value(p)) / p
+        log_acc += math.log(sinc_power(p)) / p
     return math.exp(log_acc)
 
 
 def bound_wills_functional(proj, lam):
     """Upper bound on the Wills functional of the lam-scaled section:
-    (2 pi)^-(m0-k) * prod_j (integral of the j-th factor)^(1 - tc_j)."""
+    (2 pi)^-(m0-k) * prod_j (integral of the j-th factor)^(1 - tc_j).
+    The Wills factor g is computed once per distinct (alpha, p)."""
     if lam <= 0:
         raise StructuralError(f"scale must be positive, got {lam}")
     m0, k = proj.m0, proj.k
     log_acc = -(m0 - k) * math.log(2.0 * math.pi)
+    g_of = functools.cache(
+        lambda alpha, p: wills_g(WillsIntegrandParams(alpha=alpha, p=p)))
     for tc, t in zip(proj.tilde_weights, proj.thresholds):
         alpha = lam * math.sqrt(tc) * t
         defect = 1.0 - tc
@@ -125,7 +134,7 @@ def bound_wills_functional(proj, lam):
             log_acc += math.log(1.0 + 2.0 * alpha)
             continue
         p = 1.0 / defect
-        g = wills_g(WillsIntegrandParams(alpha=alpha, p=p))
+        g = g_of(alpha, p)
         # the factor increases with g, so the upper end of g's interval
         factor = (g.value + g.abs_error_estimate) / math.sqrt(defect)
         log_acc += defect * math.log(factor)

@@ -1,11 +1,13 @@
 """One-dimensional special functions and integrals consumed by the bounds.
 
 Everything here is a pure function.  The Wills factor wills_g uses fixed
-Gauss-Jacobi rules on panels between the zeros of its integrand, and
-sinc_product_integral a fixed Gauss-Legendre head; the other quadratures are
+Gauss-Jacobi rules on panels between the zeros of its integrand.  The
+sine-product integrals use a fixed Gauss-Legendre head and an exact Si/Ci
+tail, evaluated for a batch of rows at once by _sinc_product_integrals;
+sinc_product_integral is its one-row case.  The other quadratures are
 delegated to scipy.integrate.quad (adaptive Gauss-Kronrod).  Truncated tails
-are either summed exactly via the Hurwitz zeta function (sinc powers) or
-bounded analytically and folded into the error estimate.
+are summed exactly (the Hurwitz zeta function for sinc powers, Si/Ci for sine
+products) or bounded analytically and folded into the error estimate.
 """
 
 import math
@@ -259,55 +261,77 @@ def wills_g(params):
                             evals)
 
 
+# 48-point Gauss-Legendre rule on [-1, 1] for sinc_product_integral's head
+_HEAD_X, _HEAD_W = np.polynomial.legendre.leggauss(48)
+# complex values per pass of _sinc_product_integrals: bounds its memory
+_SINC_PASS = 1 << 16
+
+
+def _sinc_product_integrals(betas, q):
+    """integral_0^inf prod_j sin(beta_j r) / r^q dr for each row of betas.
+
+    betas has shape (B, m) and q is shared by the rows; returns shape (B,).
+    Each row splits at Y = 4 / sum_j |beta_j|: the head is the 48-point
+    Gauss-Legendre rule on [0, Y] (the integrand is entire), and the tail is
+    exact: the sine product expands over the 2^m sign patterns eps into
+    exponentials exp(i (eps . beta) r), each integrated over [Y, inf)
+    through Si/Ci and the recursion in the power of r.  A row with a zero
+    beta is 0.  A row with a zero combined frequency eps . beta at q = 1
+    diverges and comes back NaN.  Rows are processed in passes of at most
+    _SINC_PASS values of the (rows, 2^m) frequency array or the
+    (rows, 48, m) head array, so that large m cannot inflate the memory.
+    Requires q >= 1 and m >= q (convergence).
+    """
+    betas = np.asarray(betas, dtype=float)
+    m = betas.shape[1]
+    if q < 1 or m < q:
+        raise DomainError(f"need 1 <= q <= len(betas), got q={q}, m={m}")
+    # sign patterns in itertools.product((1, -1), repeat=m) order
+    eps = 1.0 - 2.0 * ((np.arange(2 ** m)[:, None]
+                        >> np.arange(m - 1, -1, -1)) & 1)
+    parity = np.prod(eps, axis=1)
+    pref = (2j) ** (-m)
+    out = np.empty(len(betas))
+    rows = max(1, _SINC_PASS // max(2 ** m, _HEAD_X.size * m))
+    for start in range(0, len(betas), rows):
+        part = slice(start, start + rows)
+        sign = np.prod(np.sign(betas[part]), axis=1)
+        b = np.abs(betas[part])
+        total = b.sum(axis=1)
+        y = 4.0 / np.where(total > 0.0, total, 1.0)
+        r = 0.5 * y[:, None] * (_HEAD_X + 1.0)
+        vals = np.prod(np.sin(r[:, :, None] * b[:, None, :]), axis=2) / r ** q
+        head = 0.5 * y * (vals @ _HEAD_W)
+
+        # integral_Y^inf e^(i gamma r) r^(-q) dr, gamma = eps . beta; for
+        # gamma < 0 the conjugate of the value at |gamma|
+        gam = b @ eps.T
+        g = np.abs(gam)
+        y_col = y[:, None]
+        zero = g == 0.0
+        si, ci = special.sici(np.where(zero, 1.0, g) * y_col)
+        t = -ci + 1j * (math.pi / 2.0 - si)
+        e = np.exp(1j * g * y_col)
+        for j in range(2, q + 1):
+            t = (e * y_col ** (1 - j) + 1j * g * t) / (j - 1)
+        t = np.where(gam < 0.0, np.conj(t), t)
+        if q > 1:                       # at q = 1 a zero frequency diverges
+            t = np.where(zero, y_col ** (1 - q) / (q - 1), t)
+        tail = (pref * (t @ parity)).real
+        divergent = (q == 1) & zero.any(axis=1) & (sign != 0.0)
+        out[part] = np.where(divergent, np.nan, sign * (head + tail))
+    return out
+
+
 def sinc_product_integral(betas, q):
     """integral_0^inf prod_j sin(beta_j r) / r^q dr, exact tail.
 
-    Splits at Y: the head is a short Gauss-Legendre rule (the integrand is
-    entire), and the tail is summed in closed form by expanding the sine
-    product over sign patterns and integrating each exponential term through
-    the Si/Ci recursion.  Requires q >= 1 and len(betas) >= q (convergence);
-    a zero combined frequency at q = 1 is divergent and raises.
+    The one-row case of _sinc_product_integrals, which describes the
+    method.  Requires q >= 1 and len(betas) >= q (convergence); a zero
+    combined frequency at q = 1 is divergent and raises.
     """
-    import itertools
-
-    betas = np.asarray(betas, dtype=float).ravel()
-    m = betas.size
-    if q < 1 or m < q:
-        raise DomainError(f"need 1 <= q <= len(betas), got q={q}, m={m}")
-    sign = 1.0
-    for b in betas:
-        if b < 0:
-            sign = -sign
-    betas = np.abs(betas)
-    if np.any(betas == 0.0):
-        return 0.0
-    gamma_max = float(betas.sum())
-    y_cut = 4.0 / gamma_max
-
-    nodes, wts = np.polynomial.legendre.leggauss(48)
-    r = 0.5 * y_cut * (nodes + 1.0)
-    vals = np.prod(np.sin(np.outer(r, betas)), axis=1) / r ** q
-    head = 0.5 * y_cut * float(wts @ vals)
-
-    def t_tail(gamma, qq):
-        # integral_Y^inf e^(i gamma y) y^(-qq) dy
-        if gamma == 0.0:
-            if qq == 1:
-                raise DomainError("divergent zero-frequency term at q = 1")
-            return complex(y_cut ** (1 - qq) / (qq - 1))
-        conj = gamma < 0
-        g = abs(gamma)
-        si, ci = special.sici(g * y_cut)
-        t = complex(-ci, math.pi / 2.0 - si)
-        for j in range(2, qq + 1):
-            t = (np.exp(1j * g * y_cut) * y_cut ** (1 - j)
-                 + 1j * g * t) / (j - 1)
-        return np.conj(t) if conj else t
-
-    pref = (2j) ** (-m)
-    acc = 0j
-    for eps in itertools.product((1.0, -1.0), repeat=m):
-        g = float(np.dot(eps, betas))
-        acc += np.prod(eps) * t_tail(g, q)
-    tail = float((pref * acc).real)
-    return sign * (head + tail)
+    value = _sinc_product_integrals(
+        np.asarray(betas, dtype=float).reshape(1, -1), q)[0]
+    if math.isnan(value):
+        raise DomainError("divergent zero-frequency term at q = 1")
+    return float(value)

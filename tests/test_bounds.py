@@ -224,6 +224,31 @@ class TestWillsVolume:
             exact = exact_volume_smallk(section_polytope(proj))
             assert bound_volume_via_wills(proj) >= exact - 1e-9
 
+    def test_uses_upper_end_of_sinc_power(self, monkeypatch):
+        # each factor increases with I_p, so an upper bound takes value + error
+        proj = project(cube_decomposition(3), Subspace(3, PLANE))
+
+        def bound_with(value, error):
+            monkeypatch.setattr(
+                bounds_module, "sinc_power_integral",
+                lambda p: QuadratureResult(value, error, 1))
+            return bound_volume_via_wills(proj)
+
+        assert bound_with(2.0, 0.5) == bound_with(2.5, 0.0)
+        assert bound_with(2.0, 0.5) > bound_with(2.0, 0.0)
+
+    def test_one_integral_per_distinct_p(self, monkeypatch):
+        # +-e_j of the cube give the same p: four distinct p from eight
+        proj = project(cube_decomposition(4),
+                       Subspace.random(4, 2, np.random.default_rng(6)))
+        calls = []
+        real = bounds_module.sinc_power_integral
+        monkeypatch.setattr(bounds_module, "sinc_power_integral",
+                            lambda p: calls.append(p) or real(p))
+        bound_volume_via_wills(proj)
+        assert len(proj.tilde_weights) == 8
+        assert len(calls) == len(set(calls)) == 4
+
 
 class TestWillsFunctional:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -257,6 +282,18 @@ class TestWillsFunctional:
 
         assert bound_with(2.0, 0.5) == bound_with(2.5, 0.0)
         assert bound_with(2.0, 0.5) > bound_with(2.0, 0.0)
+
+    def test_one_g_per_distinct_factor(self, monkeypatch):
+        # +-e_j of the cube give the same (alpha, p): four distinct from eight
+        proj = project(cube_decomposition(4),
+                       Subspace.random(4, 2, np.random.default_rng(6)))
+        calls = []
+        real = bounds_module.wills_g
+        monkeypatch.setattr(bounds_module, "wills_g", lambda params: (
+            calls.append((params.alpha, params.p)) or real(params)))
+        bound_wills_functional(proj, 1.0)
+        assert len(proj.tilde_weights) == 8
+        assert len(calls) == len(set(calls)) == 4
 
 
 class TestMeanWidth:
@@ -469,7 +506,7 @@ REGISTRY_REFERENCE = {
         ("symmetric_case1_coarse", 6.25, "all tilde weights >= 1/2", False,
          "8c9eba7b06af040a"),
         ("ab_old", 5.656854249492381, "none", True, "8c9eba7b06af040a"),
-        ("wills_volume", 25.902542187945432, "none", True,
+        ("wills_volume", 25.902542187987557, "none", True,
          "8c9eba7b06af040a"),
         ("wills_functional", 15.412825391312195, "none", True,
          "8c9eba7b06af040a"),

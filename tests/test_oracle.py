@@ -23,7 +23,10 @@ from slicebound import (
     wills_oracle,
 )
 from slicebound.bodies import HPolytopeSection, vol_simplex_inradius1
-from slicebound.oracle import McEstimate, _hull, _sphere_grid
+from slicebound import oracle
+from slicebound._kernels import count_inside
+from slicebound.oracle import (McEstimate, _complement_integral, _hull,
+                               _sample_chunks, _sphere_grid)
 
 
 def square_section(n=2):
@@ -254,6 +257,20 @@ class TestParseval:
             parseval_check(proj)
 
 
+class TestComplementIntegral:
+    def test_degenerate_direction_nudged(self, monkeypatch):
+        # at e_1 the frequencies 1, 1, 2 of the three factors cancel, so the
+        # radial integral diverges there and is taken at a nudged direction;
+        # the value was recorded from a one-direction-at-a-time evaluation
+        grid = oracle._sphere_grid
+        monkeypatch.setattr(oracle, "_sphere_grid", lambda count: np.vstack(
+            [grid(200), [[1.0, 0.0, 0.0]]]))
+        w = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [2.0, 0.0, 1.0]])
+        value, on_grid = _complement_integral(np.ones(3), np.ones(3), w, 3)
+        assert on_grid
+        assert value == pytest.approx(156.4608970830287, rel=1e-12)
+
+
 class TestWillsOracle:
     def test_segment(self):
         # Wills functional of [-1, 1] is 3
@@ -271,6 +288,20 @@ class TestWillsOracle:
         e1 = wills_oracle(poly, 5 * 10 ** 4, seed=11)
         e2 = wills_oracle(poly, 5 * 10 ** 4, seed=11)
         assert e1.mean == e2.mean
+
+    def test_hit_rate_is_inside_fraction(self):
+        proj = project(cube_decomposition(3), Subspace.coordinate(3, range(3)))
+        poly = section_polytope(proj)
+        samples = 5 * 10 ** 4
+        est = wills_oracle(poly, samples, seed=12)
+        radius = poly.circumradius + 3.0
+        inside = sum(count_inside(pts, poly.normals, poly.offsets, True)
+                     for pts in _sample_chunks(samples, 12, 3, radius))
+        assert est.hit_rate == inside / samples
+        # the cube [-1, 1]^3 fills 8 / (4/3 pi radius^3) of the ball
+        share = 8.0 / (4.0 / 3.0 * math.pi * radius ** 3)
+        assert est.hit_rate == pytest.approx(
+            share, abs=5.0 * math.sqrt(share * (1.0 - share) / samples))
 
 
 class TestV1Oracle:

@@ -1,7 +1,10 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import special
 
 from slicebound.bodies import KpBall, cube_decomposition
 from slicebound.bounds import bound_kp_lower
@@ -12,6 +15,7 @@ from slicebound.specfun import (
     QuadratureResult,
     WillsIntegrandParams,
     _M_SINE_ENVELOPE,
+    _sinc_product_integrals,
     ball_integral_bound_check,
     dist_sq_ft,
     gamma_p,
@@ -28,6 +32,9 @@ REF_SINC_POWER = {
     3.0: 2.416888418980815,
     6.0: 1.7278759594743863,
 }
+# integral_0^inf prod_{j<8} sinc(x/(2j+1)) dx / pi (Borwein)
+BORWEIN_15 = Fraction(467807924713440738696537864469,
+                      935615849440640907310521750000)
 # gamma_p(p, y) = 2 * integral_0^inf exp(-x^p) cos(x y) dx, by mpmath.quad
 # at 30 digits, split at the zeros of cos(x y) and geometrically towards 0
 REF_GAMMA = {
@@ -284,6 +291,34 @@ class TestSineEnvelope:
             assert val > 2 * mpmath.pi
 
 
+def sinc_product_loop(betas, q):
+    """Reference: the one-row method term by term, the tail summed over the
+    sign patterns in a Python loop."""
+    sign = float(np.prod(np.sign(betas)))
+    betas = np.abs(np.asarray(betas, dtype=float))
+    if sign == 0.0:
+        return 0.0
+    y = 4.0 / betas.sum()
+    nodes, wts = np.polynomial.legendre.leggauss(48)
+    r = 0.5 * y * (nodes + 1.0)
+    head = 0.5 * y * float(
+        wts @ (np.prod(np.sin(np.outer(r, betas)), axis=1) / r ** q))
+    acc = 0j
+    for eps in itertools.product((1.0, -1.0), repeat=len(betas)):
+        gamma = float(np.dot(eps, betas))
+        g = abs(gamma)
+        if g == 0.0:
+            t = complex(y ** (1 - q) / (q - 1))
+        else:
+            si, ci = special.sici(g * y)
+            t = complex(-ci, math.pi / 2.0 - si)
+            for j in range(2, q + 1):
+                t = (np.exp(1j * g * y) * y ** (1 - j) + 1j * g * t) / (j - 1)
+            t = t.conjugate() if gamma < 0 else t
+        acc += np.prod(eps) * t
+    return sign * (head + float(((2j) ** -len(betas) * acc).real))
+
+
 class TestSincProductIntegral:
     def test_single_sinc(self):
         # integral_0^inf sin(b r)/r dr = pi/2
@@ -315,6 +350,56 @@ class TestSincProductIntegral:
     def test_domain(self):
         with pytest.raises(DomainError):
             sinc_product_integral([1.0], 2)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_borwein(self, m):
+        # integral_0^inf prod_{j<m} sinc(x/(2j+1)) dx is pi/2 up to the
+        # factor 1/13 and falls just short of it once 1/15 joins
+        betas = [Fraction(1, 2 * j + 1) for j in range(m)]
+        ratio = Fraction(1, 2) if m < 8 else BORWEIN_15
+        ref = float(ratio * math.prod(betas)) * math.pi
+        assert sinc_product_integral([float(b) for b in betas], m) == \
+            pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [1, 3, 6])
+    def test_batch_matches_rows(self, q):
+        # 500 rows of 6 betas take several passes
+        betas = np.random.default_rng(21).normal(size=(500, 6))
+        betas[3, 2] = 0.0
+        betas[7] = 0.0
+        betas[11] = -np.abs(betas[11])
+        got = _sinc_product_integrals(betas, q)
+        want = np.array([sinc_product_integral(row, q) for row in betas])
+        assert got[3] == got[7] == 0.0
+        # the tail sums 2^m terms of size about (sum |beta|)^(q - 1), whose
+        # rounding depends on how the matrix products are blocked
+        scale = np.abs(betas).sum(axis=1) ** (q - 1)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want),
+                                                               scale))
+
+    def test_matches_loop(self):
+        rng = np.random.default_rng(22)
+        for m in range(1, 8):
+            for q in range(1, m + 1):
+                betas = rng.normal(size=(4, m))
+                got = _sinc_product_integrals(betas, q)
+                want = np.array([sinc_product_loop(row, q) for row in betas])
+                # sums in another order: rounding relative to the terms
+                scale = np.abs(betas).sum(axis=1) ** (q - 1)
+                assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(
+                    np.abs(want), scale))
+
+    def test_zero_frequency_q1(self):
+        # the sign pattern (+, +, -) of (1, 1, 2) has frequency 0: the
+        # integral diverges at q = 1 and converges at q = 2
+        with pytest.raises(DomainError):
+            sinc_product_integral([1.0, 1.0, 2.0], 1)
+        # the other row is pi/4, as 1, 1, 1.5 satisfy the triangle inequality
+        got = _sinc_product_integrals(
+            np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 1.5]]), 1)
+        assert np.isnan(got[0])
+        assert got[1] == pytest.approx(math.pi / 4.0, rel=1e-12)
+        assert np.isfinite(sinc_product_integral([1.0, 1.0, 2.0], 2))
 
 
 class TestQuadratureSettings:
