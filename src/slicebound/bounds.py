@@ -328,7 +328,7 @@ _KINDS = {
 
 @dataclass(frozen=True)
 class _Bound:
-    """One registry row.  evaluate(x, force, lam), gate(x) and in_all(x)
+    """One registry row.  evaluate(x, force), gate(x) and in_all(x)
     take the input x of the row's kind; in_all says whether "all" includes
     the bound.  Evaluators look the bound functions up by name at call time,
     so wrapping a module attribute wraps the registry's call too."""
@@ -360,47 +360,47 @@ def _m0_above_k(bh):
 
 _REGISTRY = {
     "symmetric_case1": _Bound(
-        "proj", lambda proj, force, lam: bound_symmetric_case1(proj, force),
+        "proj", lambda proj, force: bound_symmetric_case1(proj, force),
         _tc_half, "all tilde weights >= 1/2"),
     "symmetric_case1_coarse": _Bound(
         "proj",
-        lambda proj, force, lam: bound_symmetric_case1_coarse(proj, force),
+        lambda proj, force: bound_symmetric_case1_coarse(proj, force),
         _tc_half, "all tilde weights >= 1/2"),
     "symmetric_case2": _Bound(
-        "proj", lambda proj, force, lam: bound_symmetric_case2(
+        "proj", lambda proj, force: bound_symmetric_case2(
             proj.subspace.ambient_dim, proj.k),
         lambda proj: _case2_regime(proj.subspace.ambient_dim, proj.k),
         "n/2 <= k <= n", in_all=lambda proj: False),
-    "ab_old": _Bound("proj", lambda proj, force, lam: bound_ab_old(proj)),
+    "ab_old": _Bound("proj", lambda proj, force: bound_ab_old(proj)),
     "wills_volume": _Bound(
-        "proj", lambda proj, force, lam: bound_volume_via_wills(proj)),
+        "proj", lambda proj, force: bound_volume_via_wills(proj)),
     "wills_functional": _Bound(
-        "proj", lambda proj, force, lam: bound_wills_functional(proj, lam)),
+        "proj", lambda proj, force: bound_wills_functional(proj, 1.0)),
     "mean_width": _Bound(
-        "proj", lambda proj, force, lam: bound_mean_width(proj)),
+        "proj", lambda proj, force: bound_mean_width(proj)),
     "k1_upper": _Bound(
-        "ball", lambda bh, force, lam: bound_k1_upper(*bh), in_all=_is_l1),
+        "ball", lambda bh, force: bound_k1_upper(*bh), in_all=_is_l1),
     "k1_intermediate": _Bound(
-        "ball", lambda bh, force, lam: bound_k1_intermediate(*bh),
+        "ball", lambda bh, force: bound_k1_intermediate(*bh),
         in_all=_is_l1),
     "k1_lower": _Bound(
-        "ball", lambda bh, force, lam: bound_k1_lower(*bh),
+        "ball", lambda bh, force: bound_k1_lower(*bh),
         in_all=lambda bh: _is_l1(bh) and _m0_above_k(bh)),
-    "kp_upper": _Bound("ball", lambda bh, force, lam: bound_kp_upper(*bh)),
-    "kp_lower": _Bound("ball", lambda bh, force, lam: bound_kp_lower(*bh),
+    "kp_upper": _Bound("ball", lambda bh, force: bound_kp_upper(*bh)),
+    "kp_lower": _Bound("ball", lambda bh, force: bound_kp_lower(*bh),
                        in_all=_m0_above_k),
     "nonsym_fourier": _Bound(
-        "nl", lambda nl, force, lam: bound_nonsym_fourier(nl, force),
+        "nl", lambda nl, force: bound_nonsym_fourier(nl, force),
         _kappa_half, "all kappa >= 1/2"),
     "nonsym_hyperplane": _Bound(
-        "nl", lambda nl, force, lam: bound_nonsym_hyperplane(nl.n),
+        "nl", lambda nl, force: bound_nonsym_hyperplane(nl.n),
         _kappa_half, "all kappa >= 1/2 (reported alongside)"),
 }
 ALL_BOUNDS = tuple(_REGISTRY)
 
 
 def build_report(names="all", proj=None, ball=None, subspace=None, nl=None,
-                 force=False, lam=1.0, metadata=None):
+                 force=False, metadata=None):
     """Evaluate the named bounds against whichever inputs are supplied.
 
     names may be "all" (every bound applicable to the given inputs) or an
@@ -424,11 +424,11 @@ def build_report(names="all", proj=None, ball=None, subspace=None, nl=None,
             )
     report = BoundReport(metadata=dict(metadata or {}))
     for name in wanted:
-        report.entries.append(_evaluate_one(name, inputs, force, lam))
+        report.entries.append(_evaluate_one(name, inputs, force))
     return report
 
 
-def _evaluate_one(name, inputs, force, lam):
+def _evaluate_one(name, inputs, force):
     row = _REGISTRY[name]
     x = inputs[row.kind]
     needs, digest = _KINDS[row.kind]
@@ -436,7 +436,7 @@ def _evaluate_one(name, inputs, force, lam):
         raise StructuralError(f"bound {name} needs {needs}")
     gate = {"required_condition": row.gate_text,
             "satisfied": row.gate is None or bool(row.gate(x))}
-    value = row.evaluate(x, force, lam)
+    value = row.evaluate(x, force)
     if not math.isfinite(value) or value <= 0:
         raise StructuralError(f"bound {name} produced non-positive {value}")
     return {"name": name, "value": float(value), "gate": gate,

@@ -219,7 +219,7 @@ def cmd_verify(args):
     if args.what == "parseval":
         lhs, rhs, gates = oracle.parseval_check(
             proj, samples=args.samples, seed=seed)
-        tol = max(1e-6, 0.01 * lhs if gates["mc_rhs"] else 1e-6)
+        tol = 0.01 * lhs if gates["mc_rhs"] else 1e-8
         agree = abs(lhs - rhs) <= tol + MC_SIGMAS * gates["lhs_std_error"]
         _emit({"lhs": _fmt(lhs), "rhs": _fmt(rhs),
                "abs_difference": _fmt(abs(lhs - rhs)),

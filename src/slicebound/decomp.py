@@ -166,12 +166,10 @@ def _complete(rows, n):
 
 @dataclass(frozen=True)
 class Subspace:
-    """k-dimensional subspace of R^n with orthonormal basis rows (k, n) and
-    orthonormal complement basis rows (n-k, n)."""
+    """k-dimensional subspace of R^n with orthonormal basis rows (k, n)."""
 
     ambient_dim: int
     basis: np.ndarray
-    complement_basis: np.ndarray = None
 
     def __post_init__(self):
         b = np.atleast_2d(np.asarray(self.basis, dtype=float))
@@ -184,9 +182,6 @@ class Subspace:
         if gram_res > TOL_UNIT:
             raise StructuralError("could not orthonormalize basis")
         object.__setattr__(self, "basis", ortho)
-        if self.complement_basis is None:
-            comp = _complete(ortho, self.ambient_dim)
-            object.__setattr__(self, "complement_basis", comp)
 
     @property
     def k(self):

@@ -3,9 +3,14 @@ two-sided Fourier/Parseval identity checker, and Wills / mean-width oracles.
 
 Nothing in this module reuses a bound formula; estimates come from rejection
 sampling, Qhull halfspace intersection, or quadrature of Fourier transforms,
-so agreement with the bounds module is evidence rather than tautology.
+so agreement with the bounds module is evidence rather than tautology.  The
+Parseval right-hand side integrates in polar coordinates: one evaluator
+takes the radial integrals exactly, as batched sine-product integrals, and
+the angle is the single point of d = 1, an adaptive quadrature cut at the
+integrand's kinks and knots for d = 2, or a sphere grid for d = 3.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +24,7 @@ from .bodies import section_polytope
 from .decomp import lift
 from .errors import (DegenerateRegimeError, DomainError, GateError,
                      StructuralError)
-from .specfun import _sinc_product_integrals, sinc_product_integral
+from .specfun import _sinc_product_integrals
 
 _CHUNK = 1 << 16          # fixed batch size keeps streams seed-reproducible
 EXACT_MAX_K = 3           # exact volume, V_1 and Parseval lhs up to this k
@@ -152,66 +157,71 @@ def mc_kp_section_volume(ball, H, samples, seed):
 def _complement_integral(a, b, w, d):
     """Integral over R^d of prod_j indicator_ft(a_j, b_j <y, w_j>).
 
-    a: half-widths; b: defect scales sqrt(1-tc); w: rows in R^d.
+    a: half-widths; b: defect scales sqrt(1-tc); w: rows in R^d.  In polar
+    coordinates the radial integrals are exact (radial below); the
+    complement dimensions differ only in the angular scheme.
     """
     scaled = b[:, None] * w          # (m1, d)
 
-    def radial_terms(thetas, q_drop):
+    def radial(thetas, nudged=False):
         """The radial integrals of r^(d-1) prod_j factor_j(r theta) over
         r > 0, for the rows theta of thetas, as sinc-product integrals.
 
         Factors whose projection on theta vanishes contribute constants;
         the rest reduce to a sinc-product integral with exponent
-        m_active - q_drop.  Yields (rows, constants, betas, q), one per
-        pattern of active factors; rows with q < 1 are left out, as their
-        value is 0 (a measure-zero degenerate direction).
+        m_active - (d - 1), one batched call per pattern of active factors.
+        Rows with exponent < 1 are 0 (a measure-zero degenerate direction).
+        The integral log-diverges on a measure-zero set of exactly
+        degenerate directions; such rows are taken once more at a nudged
+        direction.
         """
         s = thetas @ scaled.T
         active = np.abs(s) > 1e-13
+        vals = np.zeros(len(thetas))
         for pattern in np.unique(active, axis=0):
-            q = int(pattern.sum()) - q_drop
+            q = int(pattern.sum()) - (d - 1)
             if q < 1:
                 continue
             rows = np.flatnonzero((active == pattern).all(axis=1))
             s_act = s[np.ix_(rows, pattern)]
             const = (float(np.prod(2.0 * a[~pattern]))
                      * np.prod(2.0 / s_act, axis=1))
-            yield rows, const, a[pattern] * s_act, q
-
-    def radial_value(theta, q_drop):
-        for _, const, betas, q in radial_terms(theta[None], q_drop):
-            return float(const[0]) * sinc_product_integral(betas[0], q)
-        return 0.0
-
-    def radial_value_safe(theta, q_drop):
-        # the radial integral log-diverges on a measure-zero set of exactly
-        # degenerate directions; nudge off such a direction when hit
-        try:
-            return radial_value(theta, q_drop)
-        except DomainError:
-            nudge = np.arange(1.0, 1.0 + len(theta)) * 2.5e-9
-            shifted = theta + nudge
-            return radial_value(shifted / np.linalg.norm(shifted), q_drop)
+            vals[rows] = const * _sinc_product_integrals(a[pattern] * s_act, q)
+        bad = np.isnan(vals)
+        if bad.any():
+            if nudged:
+                raise DomainError("divergent radial integral")
+            shifted = thetas[bad] + np.arange(1.0, d + 1.0) * 2.5e-9
+            vals[bad] = radial(
+                shifted / np.linalg.norm(shifted, axis=1)[:, None], True)
+        return vals
 
     if d == 1:
-        return 2.0 * radial_value(np.array([1.0]), 0), False
+        return 2.0 * float(radial(np.array([[1.0]]))[0]), False
     if d == 2:
-        def angular(phi):
-            return radial_value_safe(np.array([math.cos(phi), math.sin(phi)]), 1)
+        # the angular integrand has a kink where theta is orthogonal to some
+        # b_j w_j and a knot where a combined frequency of the sine product,
+        # theta . sum_j eps_j a_j b_j w_j, vanishes: cut the quad there
+        eps = np.array([(1.0,) + e for e in
+                        itertools.product((1.0, -1.0), repeat=len(a) - 1)])
+        vecs = np.vstack([scaled, eps @ (a[:, None] * scaled)])
+        vecs = vecs[np.linalg.norm(vecs, axis=1) > 1e-12]
+        cuts = np.sort(np.mod(np.arctan2(vecs[:, 1], vecs[:, 0])
+                              + 0.5 * math.pi, math.pi))
+        cuts = cuts[np.r_[True, np.diff(cuts) > 1e-9]]
+        cuts = cuts[(cuts > 1e-9) & (cuts < math.pi - 1e-9)]
 
-        v, _ = integrate.quad(angular, 0.0, math.pi, epsabs=2e-9, limit=400)
+        def angular(phi):
+            return radial(np.array([[math.cos(phi), math.sin(phi)]]))[0]
+
+        v, _ = integrate.quad(angular, 0.0, math.pi, epsabs=2e-9,
+                              limit=400 + cuts.size, points=cuts)
         return 2.0 * v, False
-    # d = 3: deterministic sphere grid for the angular average, one batched
-    # sinc-product call per pattern of active factors; the radial integral
-    # stays exact, but the kinked angular integrand limits the grid average
-    # to about 1% relative accuracy (reported via the flag)
+    # d = 3: deterministic sphere grid for the angular average; the radial
+    # integral stays exact, but the kinked angular integrand limits the grid
+    # average to about 1% relative accuracy (reported via the flag)
     dirs = _sphere_grid(4000)
-    vals = np.zeros(len(dirs))
-    for rows, const, betas, q in radial_terms(dirs, 2):
-        vals[rows] = const * _sinc_product_integrals(betas, q)
-    for i in np.flatnonzero(np.isnan(vals)):    # divergent: nudge off
-        vals[i] = radial_value_safe(dirs[i], 2)
-    return 4.0 * math.pi * float(vals.sum()) / len(dirs), True
+    return 4.0 * math.pi * float(radial(dirs).sum()) / len(dirs), True
 
 
 def parseval_check(proj, samples=10 ** 6, seed=0):

@@ -1,10 +1,11 @@
-"""One-dimensional special functions and integrals consumed by the bounds.
+"""One-dimensional special functions and integrals consumed by the bounds
+and the Parseval oracle.
 
 Everything here is a pure function.  The Wills factor wills_g uses fixed
 Gauss-Jacobi rules on panels between the zeros of its integrand.  The
 sine-product integrals use a fixed Gauss-Legendre head and an exact Si/Ci
-tail, evaluated for a batch of rows at once by _sinc_product_integrals;
-sinc_product_integral is its one-row case.  The other quadratures are
+tail, evaluated for a batch of rows at once by _sinc_product_integrals,
+whose one caller is the Parseval oracle.  The other quadratures are
 delegated to scipy.integrate.quad (adaptive Gauss-Kronrod).  Truncated tails
 are summed exactly (the Hurwitz zeta function for sinc powers, Si/Ci for sine
 products) or bounded analytically and folded into the error estimate.
@@ -261,7 +262,7 @@ def wills_g(params):
                             evals)
 
 
-# 48-point Gauss-Legendre rule on [-1, 1] for sinc_product_integral's head
+# 48-point Gauss-Legendre rule on [-1, 1] for _sinc_product_integrals' head
 _HEAD_X, _HEAD_W = np.polynomial.legendre.leggauss(48)
 # complex values per pass of _sinc_product_integrals: bounds its memory
 _SINC_PASS = 1 << 16
@@ -321,17 +322,3 @@ def _sinc_product_integrals(betas, q):
         divergent = (q == 1) & zero.any(axis=1) & (sign != 0.0)
         out[part] = np.where(divergent, np.nan, sign * (head + tail))
     return out
-
-
-def sinc_product_integral(betas, q):
-    """integral_0^inf prod_j sin(beta_j r) / r^q dr, exact tail.
-
-    The one-row case of _sinc_product_integrals, which describes the
-    method.  Requires q >= 1 and len(betas) >= q (convergence); a zero
-    combined frequency at q = 1 is divergent and raises.
-    """
-    value = _sinc_product_integrals(
-        np.asarray(betas, dtype=float).reshape(1, -1), q)[0]
-    if math.isnan(value):
-        raise DomainError("divergent zero-frequency term at q = 1")
-    return float(value)

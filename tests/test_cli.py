@@ -285,6 +285,16 @@ class TestVerify:
         assert data["agree"]
         assert data["lhs"] == pytest.approx(2.0 * math.sqrt(2.0))
 
+    def test_parseval_d2(self, capsys, cube3_one_sided):
+        # a line in R^3: complement dimension 2, held to the rhs's 1e-8
+        code, out, _ = run(capsys, "verify", "parseval",
+                           "--input", cube3_one_sided,
+                           "--subspace", '{"basis": [[1.0, 2.0, 3.0]]}')
+        assert code == 0
+        data = json.loads(out)
+        assert data["agree"] and not data["gates"]["mc_rhs"]
+        assert data["abs_difference"] <= 1e-8
+
     def test_parseval_full_space_mc(self, capsys, tmp_path):
         # k = 4: the lhs is Monte-Carlo and agrees within its error bar
         path = str(tmp_path / "simplex4.json")

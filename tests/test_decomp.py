@@ -13,6 +13,7 @@ from slicebound import (
     simplex_decomposition,
     validate,
 )
+from slicebound.decomp import _complete
 
 
 def random_rotation(n, rng):
@@ -68,8 +69,9 @@ class TestSubspace:
     def test_complement_orthogonal(self):
         rng = np.random.default_rng(0)
         H = Subspace.random(5, 2, rng)
-        assert H.complement_basis.shape == (3, 5)
-        assert np.abs(H.basis @ H.complement_basis.T).max() < 1e-12
+        comp = _complete(H.basis, 5)
+        assert comp.shape == (3, 5)
+        assert np.abs(H.basis @ comp.T).max() < 1e-12
 
     def test_orthogonal_to(self):
         H = Subspace.orthogonal_to([[1.0, 1.0, 1.0]])

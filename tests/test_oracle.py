@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from slicebound import (
     DegenerateRegimeError,
+    DomainError,
     StructuralError,
     Subspace,
     cross_polytope_ball,
@@ -249,6 +251,19 @@ class TestParseval:
         assert lhs == pytest.approx(2.0 * math.sqrt(2.0), abs=1e-12)
         assert abs(lhs - rhs) < 0.02 * lhs
 
+    @settings(derandomize=True, deadline=None, max_examples=15)
+    @given(shape=st.sampled_from([(4, 3), (4, 2), (5, 3)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_sections_d1_d2(self, shape, seed):
+        # one-sided cube(n) at k = n - 1 or n - 2: complement dimension 1
+        # or 2 and an exact lhs, so the identity holds to the rhs's 1e-9
+        n, k = shape
+        proj = project(cube_decomposition(n, one_sided=True),
+                       Subspace.random(n, k, np.random.default_rng(seed)))
+        lhs, rhs, gates = parseval_check(proj)
+        assert not gates["mc_rhs"]
+        assert abs(lhs - rhs) <= 1e-9
+
     def test_large_complement_rejected(self):
         # a random line in R^5 keeps all 10 vectors: complement dimension 9
         proj = project(cube_decomposition(5),
@@ -269,6 +284,29 @@ class TestComplementIntegral:
         value, on_grid = _complement_integral(np.ones(3), np.ones(3), w, 3)
         assert on_grid
         assert value == pytest.approx(156.4608970830287, rel=1e-12)
+
+    def test_d2_more_cuts_than_quad_limit(self, monkeypatch):
+        # 10 generic factors give 10 kinks and 2^9 knots, past quad's
+        # default subinterval limit; with the sine-product integral
+        # replaced by the product of the betas every radial value is
+        # prod_j 2 a_j, so the integral over the plane is 2 pi times that
+        monkeypatch.setattr(oracle, "_sinc_product_integrals",
+                            lambda betas, q: np.prod(betas, axis=1))
+        rng = np.random.default_rng(4)
+        a = rng.uniform(0.5, 1.5, 10)
+        w = rng.standard_normal((10, 2))
+        value, on_grid = _complement_integral(a, np.ones(10), w, 2)
+        assert not on_grid
+        assert value == pytest.approx(2.0 * math.pi * np.prod(2.0 * a),
+                                      rel=1e-12)
+
+    def test_divergent_after_nudge_raises(self, monkeypatch):
+        # a radial integral that is still divergent at the nudged direction
+        monkeypatch.setattr(oracle, "_sinc_product_integrals",
+                            lambda betas, q: np.full(len(betas), np.nan))
+        w = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(DomainError):
+            _complement_integral(np.ones(3), np.ones(3), w, 2)
 
 
 class TestWillsOracle:
