@@ -8,7 +8,6 @@ from .bodies import (
     cube_decomposition,
     hadamard_decomposition,
     hadamard_section_exact,
-    kp_ball,
     nonsym_section_polytope,
     section_polytope,
     simplex_decomposition,

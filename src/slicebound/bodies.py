@@ -32,12 +32,6 @@ class HPolytopeSection:
     def k(self):
         return self.normals.shape[1]
 
-    def contains(self, y):
-        dots = np.atleast_2d(y) @ self.normals.T
-        if self.symmetric:
-            return np.all(np.abs(dots) <= self.offsets, axis=1)
-        return np.all(dots <= self.offsets, axis=1)
-
     def expanded_constraints(self):
         """Return (normals, offsets) with symmetric pairs written out."""
         if self.symmetric:
@@ -46,15 +40,6 @@ class HPolytopeSection:
                 np.concatenate([self.offsets, self.offsets]),
             )
         return self.normals, self.offsets
-
-    def to_dict(self):
-        return {
-            "normals": self.normals.tolist(),
-            "offsets": self.offsets.tolist(),
-            "basis": self.subspace.basis.tolist(),
-            "symmetric": self.symmetric,
-            "circumradius": self.circumradius,
-        }
 
 
 def sylvester_hadamard(order):
@@ -183,6 +168,7 @@ class KpBall:
     alphas: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "p", float(self.p))
         a = np.asarray(self.alphas, dtype=float).ravel()
         if not 1.0 <= self.p <= 2.0:
             raise StructuralError(f"p must lie in [1, 2], got {self.p}")
@@ -200,10 +186,6 @@ class KpBall:
 def cross_polytope_ball(n):
     """B_1^n as a KpBall: v_j = e_j, c_j = 1, alpha_j = 1, p = 1."""
     return KpBall(cube_decomposition(n, one_sided=True), 1.0, np.ones(n))
-
-
-def kp_ball(decomp, p, alphas):
-    return KpBall(decomp, float(p), np.asarray(alphas, dtype=float))
 
 
 def vol_ball_p(k, p):

@@ -8,7 +8,6 @@ anyway (the report then records the gate as unsatisfied).
 
 import functools
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -87,10 +86,10 @@ def bound_ab_old(proj):
 
 def _sinc_power_upper(p):
     # The upper end of I_p's interval: value plus error estimate.  Beyond the
-    # quadrature-friendly range the Laplace asymptotic of the sinc-power
-    # integral is accurate to ~p^-2 relative.
+    # quadrature-friendly range, Ball's integral inequality
+    # I_p <= sqrt(2) pi / sqrt(p), proven for p >= 2.
     if p > SINC_POWER_MAX_P:
-        return math.sqrt(6.0 * math.pi / p) * (1.0 - 3.0 / (20.0 * p))
+        return math.sqrt(2.0) * math.pi / math.sqrt(p)
     result = sinc_power_integral(p)
     return result.value + result.abs_error_estimate
 
@@ -288,22 +287,12 @@ class BoundReport:
     """Named bound values with gate status and input digests."""
 
     entries: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
-
-    def value(self, name):
-        for e in self.entries:
-            if e["name"] == name:
-                return e["value"]
-        raise KeyError(name)
 
     def gates_satisfied(self):
         return all(e["gate"]["satisfied"] for e in self.entries)
 
     def to_dict(self):
-        return {"entries": self.entries, "metadata": self.metadata}
-
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
+        return {"entries": self.entries}
 
 
 def inputs_digest(*arrays):
@@ -400,7 +389,7 @@ ALL_BOUNDS = tuple(_REGISTRY)
 
 
 def build_report(names="all", proj=None, ball=None, subspace=None, nl=None,
-                 force=False, metadata=None):
+                 force=False):
     """Evaluate the named bounds against whichever inputs are supplied.
 
     names may be "all" (every bound applicable to the given inputs) or an
@@ -422,7 +411,7 @@ def build_report(names="all", proj=None, ball=None, subspace=None, nl=None,
                 f"unknown bound identifiers {unknown}; valid names: "
                 + ", ".join(ALL_BOUNDS)
             )
-    report = BoundReport(metadata=dict(metadata or {}))
+    report = BoundReport()
     for name in wanted:
         report.entries.append(_evaluate_one(name, inputs, force))
     return report

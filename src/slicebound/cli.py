@@ -1,20 +1,22 @@
 """Command-line driver: validate / project / bound / verify / construct /
 sweep over decomposition fixtures, emitting JSON or CSV reports.
 
-Each subcommand accepts only the options its handler reads.
+Each subcommand accepts only the options its handler reads.  The
+tolerances are the fixed constants decomp.TOL_IDENTITY and decomp.TOL_PROJ;
+Monte-Carlo seeds come from --seed alone (default 0).
 
 Exit codes: 0 success; 1 structural error: bad input, schema or domain, an
-input a check cannot handle, or a usage error (an unknown or unread option,
-a bad choice, a missing argument); 2 gate violation (with --force the
-formula values are still emitted) or a Wills bound that fails to dominate
-its Monte-Carlo oracle.
+input a check cannot handle (such as a d = 2 Parseval quadrature that does
+not converge), or a usage error (an unknown or unread option, a bad choice,
+a missing argument); 2 gate violation (with --force the formula values are
+still emitted) or a Wills bound that fails to dominate its Monte-Carlo
+oracle.
 """
 
 import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 import numpy as np
@@ -49,8 +51,7 @@ def _load_input(path):
     data = _load_json_arg(path, "input")
     if "p" in data and "alphas" in data:
         inner = decomp.JohnDecomposition.from_dict(data["decomp"])
-        ball = bodies.KpBall(inner, float(data["p"]),
-                             np.asarray(data["alphas"], dtype=float))
+        ball = bodies.KpBall(inner, data["p"], data["alphas"])
         return inner, ball
     return decomp.JohnDecomposition.from_dict(data), None
 
@@ -100,20 +101,13 @@ def _to_csv(payload):
     return buf.getvalue().rstrip("\n")
 
 
-def _resolve_seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("SLICEBOUND_SEED")
-    return int(env) if env else 0
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_validate(args):
     system, _ = _load_input(args.input)
-    report = decomp.validate(system, tol_identity=args.tol_identity)
+    report = decomp.validate(system)
     _emit({
         "passed": report.passed,
         "unit_residual": _fmt(report.unit_residual),
@@ -128,7 +122,7 @@ def cmd_validate(args):
 def cmd_project(args):
     system, _ = _load_input(args.input)
     H = _load_subspace(args.subspace, system.dim)
-    proj = decomp.project(system, H, tol_proj=args.tol_proj)
+    proj = decomp.project(system, H)
     _emit({
         "support": proj.support.tolist(),
         "directions": proj.directions.tolist(),
@@ -151,13 +145,12 @@ def cmd_bound(args):
     subspace = _load_subspace(args.subspace, system.dim)
     proj = nl = None
     if ball is None:
-        proj = decomp.project(system, subspace, tol_proj=args.tol_proj)
+        proj = decomp.project(system, subspace)
         if system.centered and system.centering_residual() < 1e-8:
             nl = decomp.lift_nonsymmetric(system, subspace)
     report = bounds.build_report(
         _parse_bounds_arg(args.bounds), proj=proj, ball=ball,
         subspace=subspace, nl=nl, force=args.force,
-        metadata={"tol_proj": args.tol_proj},
     )
     _emit(report.to_dict(), args)
     return EXIT_OK if report.gates_satisfied() else EXIT_GATE
@@ -175,7 +168,7 @@ def _section_certificate(system, ball, H, args, seed, oracle_kind):
         report = bounds.build_report(names, ball=ball, subspace=H,
                                      force=args.force)
         return report, est, None
-    proj = decomp.project(system, H, tol_proj=args.tol_proj)
+    proj = decomp.project(system, H)
     poly = bodies.section_polytope(proj)
     est = exact = None
     if oracle_kind != "exact":
@@ -198,27 +191,26 @@ def cmd_verify(args):
             raise StructuralError(
                 f"verify {args.what} does not read {', '.join(given)}")
     system, ball = _load_input(args.input)
-    seed = _resolve_seed(args)
     H = _load_subspace(args.subspace, system.dim)
     if args.what == "section":
         report, est, exact = _section_certificate(
-            system, ball, H, args, seed, args.oracle or "both")
-        out = {"seed": seed, "samples": args.samples}
+            system, ball, H, args, args.seed, args.oracle or "both")
+        out = {"seed": args.seed, "samples": args.samples}
         if est is not None:
             out["mc_mean"] = _fmt(est.mean)
             out["mc_std_error"] = _fmt(est.std_error)
         if exact is not None:
             out["exact"] = _fmt(exact)
-        out["bounds"] = report.to_dict()["entries"]
+        out["bounds"] = report.entries
         _emit(out, args)
         return EXIT_OK if report.gates_satisfied() else EXIT_GATE
     if ball is not None:
         raise StructuralError(
             f"verify {args.what} checks polytope sections, not l_p balls")
-    proj = decomp.project(system, H, tol_proj=args.tol_proj)
+    proj = decomp.project(system, H)
     if args.what == "parseval":
         lhs, rhs, gates = oracle.parseval_check(
-            proj, samples=args.samples, seed=seed)
+            proj, samples=args.samples, seed=args.seed)
         tol = 0.01 * lhs if gates["mc_rhs"] else 1e-8
         agree = abs(lhs - rhs) <= tol + MC_SIGMAS * gates["lhs_std_error"]
         _emit({"lhs": _fmt(lhs), "rhs": _fmt(rhs),
@@ -226,7 +218,7 @@ def cmd_verify(args):
                "gates": gates, "agree": agree}, args)
         return EXIT_OK if agree else EXIT_STRUCTURAL
     poly = bodies.section_polytope(proj)
-    est = oracle.wills_oracle(poly, args.samples, seed)
+    est = oracle.wills_oracle(poly, args.samples, args.seed)
     bound_val = bounds.bound_wills_functional(proj, 1.0)
     dominates = bound_val >= est.mean - MC_SIGMAS * est.std_error
     _emit({"oracle_mean": _fmt(est.mean),
@@ -250,14 +242,13 @@ def cmd_construct(args):
 
 def cmd_sweep(args):
     system, ball = _load_input(args.input)
-    seed = _resolve_seed(args)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     columns = None
     rows = []
     for i in range(args.count):
         H = decomp.Subspace.random(system.dim, args.k, rng)
         report, est, _ = _section_certificate(system, ball, H, args,
-                                              seed + i + 1, "mc")
+                                              args.seed + i + 1, "mc")
         entry_names = [e["name"] for e in report.entries]
         if columns is None:
             columns = (["row", "inputs_digest", "k"] + entry_names
@@ -296,9 +287,7 @@ _OPTIONS = {
                  "help": "section oracle (default: both)"},
     "--force": {"action": "store_true"},
     "--samples": {"type": int, "default": 10 ** 5},
-    "--seed": {"type": int},
-    "--tol-identity": {"type": float, "default": 1e-8},
-    "--tol-proj": {"type": float, "default": 1e-9},
+    "--seed": {"type": int, "default": 0},
     "--count": {"type": int, "default": 10},
     "--k": {"type": int, "default": 2},
     "--n": {"type": int, "default": 2},
@@ -324,14 +313,14 @@ def build_parser():
         return p
 
     command("validate", cmd_validate, "check decomposition invariants",
-            "--input", "--tol-identity")
+            "--input")
     command("project", cmd_project, "project a system onto a subspace",
-            "--input", "--subspace", "--tol-proj")
+            "--input", "--subspace")
     command("bound", cmd_bound, "evaluate bound formulas",
-            "--input", "--subspace", "--bounds", "--force", "--tol-proj")
+            "--input", "--subspace", "--bounds", "--force")
     p = command("verify", cmd_verify, "compare bounds against oracles",
                 "--input", "--subspace", "--bounds", "--oracle", "--force",
-                "--samples", "--seed", "--tol-proj")
+                "--samples", "--seed")
     # checked in cmd_verify: with argparse choices, an unknown option's
     # value would be reported as an invalid mode instead
     p.add_argument("what", nargs="?", default="section",
@@ -341,7 +330,7 @@ def build_parser():
     p.add_argument("body", choices=["hadamard", "cube", "simplex"])
     command("sweep", cmd_sweep, "bounds vs oracle over random subspaces",
             "--input", "--count", "--k", "--bounds", "--force", "--samples",
-            "--seed", "--tol-proj")
+            "--seed")
     return parser
 
 

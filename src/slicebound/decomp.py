@@ -99,7 +99,7 @@ class ValidationReport:
     checks: dict = field(default_factory=dict)
 
 
-def validate(decomp, tol_identity=TOL_IDENTITY):
+def validate(decomp):
     """Check the identity-resolution invariants, returning residuals."""
     if decomp.dim < 1:
         raise StructuralError("dim must be >= 1")
@@ -111,11 +111,11 @@ def validate(decomp, tol_identity=TOL_IDENTITY):
     cent_res = decomp.centering_residual()
     checks = {
         "unit_norms": unit_res <= TOL_UNIT,
-        "identity_resolution": id_res <= tol_identity,
-        "trace": trace_res <= tol_identity,
+        "identity_resolution": id_res <= TOL_IDENTITY,
+        "trace": trace_res <= TOL_IDENTITY,
     }
     if decomp.centered:
-        checks["centering"] = cent_res <= tol_identity
+        checks["centering"] = cent_res <= TOL_IDENTITY
     return ValidationReport(
         passed=all(checks.values()),
         unit_residual=unit_res,
@@ -187,14 +187,6 @@ class Subspace:
     def k(self):
         return self.basis.shape[0]
 
-    def project_coords(self, x):
-        """Coordinates of P_H x in the basis of H."""
-        return self.basis @ np.asarray(x, dtype=float)
-
-    def embed(self, coords):
-        """Ambient vector from H-coordinates."""
-        return np.asarray(coords, dtype=float) @ self.basis
-
     @classmethod
     def coordinate(cls, ambient_dim, indices):
         idx = list(indices)
@@ -256,15 +248,15 @@ class ProjectedDecomposition:
         return op_norm_residual(mat, np.eye(self.k))
 
 
-def project(decomp, H, tol_proj=TOL_PROJ):
+def project(decomp, H):
     """Project a decomposition onto subspace H, keeping indices with
-    ``|P_H v_j| > tol_proj`` (relative threshold on unit vectors)."""
+    ``|P_H v_j| > TOL_PROJ`` (relative threshold on unit vectors)."""
     if H.ambient_dim != decomp.dim:
         raise StructuralError("subspace ambient dimension mismatch")
     coords = decomp.vectors @ H.basis.T      # (m, k)
     norms = np.linalg.norm(coords, axis=1)
-    keep = norms > tol_proj
-    near = np.flatnonzero((norms > tol_proj * 0.1) & (norms <= tol_proj * 10))
+    keep = norms > TOL_PROJ
+    near = np.flatnonzero((norms > TOL_PROJ * 0.1) & (norms <= TOL_PROJ * 10))
     support = np.flatnonzero(keep)
     dirs = coords[keep] / norms[keep][:, None]
     tc = decomp.weights[keep] * norms[keep] ** 2
@@ -291,13 +283,6 @@ class Lift:
     complement_indices: np.ndarray    # positions within the support with tc < 1
     defect_weights: np.ndarray        # 1 - tc_j on complement_indices
     k: int
-
-    def complement_identity_residual(self):
-        d = self.frame.shape[0] - self.k
-        mat = (self.defect_weights[:, None] * self.complement_vectors).T @ (
-            self.complement_vectors
-        )
-        return op_norm_residual(mat, np.eye(d))
 
 
 def lift(proj):

@@ -38,9 +38,6 @@ class McEstimate:
     seed: int
     hit_rate: float
 
-    def within(self, value, n_sigma=3.0):
-        return abs(value - self.mean) <= n_sigma * self.std_error
-
 
 def unit_ball_volume(k):
     return math.pi ** (k / 2.0) / math.gamma(1.0 + k / 2.0)
@@ -214,8 +211,13 @@ def _complement_integral(a, b, w, d):
         def angular(phi):
             return radial(np.array([[math.cos(phi), math.sin(phi)]]))[0]
 
-        v, _ = integrate.quad(angular, 0.0, math.pi, epsabs=2e-9,
-                              limit=400 + cuts.size, points=cuts)
+        # a fourth value is QUADPACK's message that it did not converge
+        v, _, _, *failed = integrate.quad(
+            angular, 0.0, math.pi, epsabs=2e-9, limit=400 + cuts.size,
+            points=cuts, full_output=1)
+        if failed:
+            raise DegenerateRegimeError(
+                f"d = 2 angular quadrature failed: {failed[0]}")
         return 2.0 * v, False
     # d = 3: deterministic sphere grid for the angular average; the radial
     # integral stays exact, but the kinked angular integrand limits the grid
@@ -232,7 +234,8 @@ def parseval_check(proj, samples=10 ** 6, seed=0):
     rhs: (2 pi)^-d times the integral over the lifted orthogonal complement
     of the product of interval Fourier transforms.  Gates: the defect
     vectors must have full rank d, and more than d factors must be
-    nontrivial, else the identity is not asserted.
+    nontrivial, else the identity is not asserted.  A d = 2 angular
+    quadrature that does not converge raises DegenerateRegimeError.
     """
     lf = lift(proj)
     d = proj.m0 - proj.k

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import record_criterion
 from slicebound import (
+    KpBall,
     Subspace,
     bound_ab_old,
     bound_k1_intermediate,
@@ -28,7 +29,6 @@ from slicebound import (
     exact_volume_smallk,
     hadamard_decomposition,
     hadamard_section_exact,
-    kp_ball,
     lift_nonsymmetric,
     mc_kp_section_volume,
     mc_volume,
@@ -151,7 +151,7 @@ def test_criterion_6_kp_coordinate_equality():
     worst_rel = 0.0
     worst_sigma = 0.0
     for p in (1.0, 1.5, 2.0):
-        ball = kp_ball(cube_decomposition(4, one_sided=True), p, np.ones(4))
+        ball = KpBall(cube_decomposition(4, one_sided=True), p, np.ones(4))
         H = Subspace.coordinate(4, [0, 1])
         target = vol_ball_p(2, p)
         value = bound_kp_upper(ball, H)
@@ -296,7 +296,7 @@ def test_criterion_11_dominance_sweep():
         n = int(rng.integers(3, 6))
         k = int(rng.integers(1, min(3, n - 1) + 1))
         alphas = np.exp(rng.uniform(-0.5, 0.5, n))
-        ball = kp_ball(cube_decomposition(n, one_sided=True), p, alphas)
+        ball = KpBall(cube_decomposition(n, one_sided=True), p, alphas)
         H = Subspace.random(n, k, rng)
         est = mc_kp_section_volume(ball, H, 2 * 10 ** 4, seed=3000 + trial)
         floor = est.mean - 3.0 * est.std_error

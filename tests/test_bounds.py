@@ -8,6 +8,7 @@ from slicebound import (
     DegenerateRegimeError,
     GateError,
     StructuralError,
+    KpBall,
     Subspace,
     bound_ab_old,
     bound_k1_intermediate,
@@ -29,7 +30,6 @@ from slicebound import (
     hadamard_decomposition,
     hadamard_section_exact,
     inputs_digest,
-    kp_ball,
     lift_nonsymmetric,
     project,
     section_polytope,
@@ -237,6 +237,19 @@ class TestWillsVolume:
         assert bound_with(2.0, 0.5) == bound_with(2.5, 0.0)
         assert bound_with(2.0, 0.5) > bound_with(2.0, 0.0)
 
+    @pytest.mark.parametrize("p", [1e5 + 1, 1e6, 1e8])
+    def test_sinc_power_above_quadrature_range(self, p):
+        # beyond SINC_POWER_MAX_P the upper end is Ball's integral inequality
+        # I_p <= sqrt(2) pi / sqrt(p); check it against a 30-digit value.
+        # The integrand is below exp(-p x^2 / 6) near 0, so the integral
+        # beyond 32 sqrt(6/p) is below exp(-1000)
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            w = mpmath.sqrt(6 / mpmath.mpf(p))
+            exact = 2 * mpmath.quad(lambda x: (mpmath.sin(x) / x) ** p,
+                                    [0] + [2 ** i * w for i in range(6)])
+            assert mpmath.mpf(bounds_module._sinc_power_upper(p)) >= exact
+
     def test_one_integral_per_distinct_p(self, monkeypatch):
         # +-e_j of the cube give the same p: four distinct p from eight
         proj = project(cube_decomposition(4),
@@ -337,7 +350,7 @@ class TestK1Bounds:
             assert hi <= vol_ball_p(k, 1.0) * (1.0 + 1e-10)
 
     def test_p_must_be_one(self):
-        ball = kp_ball(cube_decomposition(2, one_sided=True), 1.5, np.ones(2))
+        ball = KpBall(cube_decomposition(2, one_sided=True), 1.5, np.ones(2))
         H = Subspace.coordinate(2, [0])
         for fn in (bound_k1_upper, bound_k1_intermediate, bound_k1_lower):
             with pytest.raises(StructuralError):
@@ -348,7 +361,7 @@ class TestKpBounds:
     def test_upper_euclidean_equality(self):
         # p = 2 with unit alphas is the Euclidean ball: every section is B_2^k
         rng = np.random.default_rng(13)
-        ball = kp_ball(cube_decomposition(4, one_sided=True), 2.0, np.ones(4))
+        ball = KpBall(cube_decomposition(4, one_sided=True), 2.0, np.ones(4))
         for k in (1, 2, 3):
             H = Subspace.random(4, k, rng)
             assert bound_kp_upper(ball, H) == pytest.approx(
@@ -356,7 +369,7 @@ class TestKpBounds:
 
     def test_lower_euclidean_equality(self):
         rng = np.random.default_rng(14)
-        ball = kp_ball(cube_decomposition(3, one_sided=True), 2.0, np.ones(3))
+        ball = KpBall(cube_decomposition(3, one_sided=True), 2.0, np.ones(3))
         for k in (1, 2):
             H = Subspace.random(3, k, rng)
             assert bound_kp_lower(ball, H) == pytest.approx(
@@ -366,7 +379,7 @@ class TestKpBounds:
     def test_lower_line_equality(self, p):
         # the (1, 1, 0) line meets B_p^3 in a segment of length
         # 2^(3/2 - 1/p), which the Plancherel lower bound attains
-        ball = kp_ball(cube_decomposition(3, one_sided=True), p, np.ones(3))
+        ball = KpBall(cube_decomposition(3, one_sided=True), p, np.ones(3))
         H = Subspace(3, np.array([[1.0, 1.0, 0.0]]))
         assert bound_kp_lower(ball, H) == pytest.approx(
             2.0 ** (1.5 - 1.0 / p), rel=1e-10)
@@ -374,14 +387,14 @@ class TestKpBounds:
     def test_lower_below_upper(self):
         rng = np.random.default_rng(15)
         for p in (1.0, 1.5, 2.0):
-            ball = kp_ball(cube_decomposition(4, one_sided=True), p,
-                           np.ones(4))
+            ball = KpBall(cube_decomposition(4, one_sided=True), p,
+                          np.ones(4))
             H = Subspace.random(4, 2, rng)
             assert bound_kp_lower(ball, H) <= \
                 bound_kp_upper(ball, H) * (1.0 + 1e-8)
 
     def test_lower_degenerate(self):
-        ball = kp_ball(cube_decomposition(2, one_sided=True), 1.5, np.ones(2))
+        ball = KpBall(cube_decomposition(2, one_sided=True), 1.5, np.ones(2))
         with pytest.raises(DegenerateRegimeError):
             bound_kp_lower(ball, Subspace.coordinate(2, [0, 1]))
 
@@ -438,7 +451,7 @@ class TestBuildReport:
     def test_explicit_case2(self):
         proj = project(cube_decomposition(3), Subspace.coordinate(3, [0, 1]))
         rep = build_report(["symmetric_case2"], proj=proj)
-        assert rep.value("symmetric_case2") == pytest.approx(2.0 ** 2.5)
+        assert rep.entries[0]["value"] == pytest.approx(2.0 ** 2.5)
         assert rep.entries[0]["gate"] == {
             "required_condition": "n/2 <= k <= n", "satisfied": True}
 
@@ -475,16 +488,11 @@ class TestBuildReport:
     def test_json_roundtrip(self):
         import json
         proj = project(cube_decomposition(2), Subspace.coordinate(2, [0]))
-        rep = build_report("all", proj=proj, metadata={"seed": 0})
-        data = json.loads(rep.to_json())
-        assert data["metadata"] == {"seed": 0}
+        rep = build_report("all", proj=proj)
+        data = json.loads(json.dumps(rep.to_dict()))
+        assert data == {"entries": rep.entries}
         assert all(set(e) == {"name", "value", "gate", "inputs_digest"}
                    for e in data["entries"])
-
-    def test_value_lookup_missing(self):
-        rep = build_report([], proj=None)
-        with pytest.raises(KeyError):
-            rep.value("symmetric_case1")
 
     def test_kp_report_names(self):
         ball = cross_polytope_ball(3)
@@ -540,8 +548,8 @@ def _registry_inputs(kind):
     if kind == "p = 1 ball":
         return {"ball": cross_polytope_ball(3), "subspace": H}
     if kind == "p = 2 ball":
-        return {"ball": kp_ball(cube_decomposition(3, one_sided=True), 2.0,
-                                [1.0, 1.5, 0.75]), "subspace": H}
+        return {"ball": KpBall(cube_decomposition(3, one_sided=True), 2.0,
+                               [1.0, 1.5, 0.75]), "subspace": H}
     d = simplex_decomposition(3)
     return {"nl": lift_nonsymmetric(d, Subspace.coordinate(3, [0, 1]))}
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from slicebound import bounds
+from slicebound import bounds, oracle
 from slicebound.bounds import ALL_BOUNDS
 from slicebound.cli import build_parser, main
 
@@ -141,6 +141,7 @@ class TestBound:
                            "--subspace", '{"coordinate": [0, 1]}')
         assert code == 0
         data = json.loads(out)
+        assert set(data) == {"entries"}
         names = {e["name"] for e in data["entries"]}
         assert "symmetric_case1" in names and "mean_width" in names
         by_name = {e["name"]: e["value"] for e in data["entries"]}
@@ -295,6 +296,22 @@ class TestVerify:
         assert data["agree"] and not data["gates"]["mc_rhs"]
         assert data["abs_difference"] <= 1e-8
 
+    def test_parseval_d2_quadrature_failure_exit1(self, capsys,
+                                                  cube3_one_sided,
+                                                  monkeypatch):
+        # QUADPACK's failure message (a fourth value) is an error, not a
+        # warning beside "agree"
+        monkeypatch.setattr(
+            oracle.integrate, "quad",
+            lambda *args, **kw: (1.0, 1.0, {}, "The algorithm does not "
+                                 "converge."))
+        code, out, err = run(capsys, "verify", "parseval",
+                             "--input", cube3_one_sided,
+                             "--subspace", '{"basis": [[1.0, 2.0, 3.0]]}')
+        assert code == 1
+        assert out == ""
+        assert "does not converge" in err
+
     def test_parseval_full_space_mc(self, capsys, tmp_path):
         # k = 4: the lhs is Monte-Carlo and agrees within its error bar
         path = str(tmp_path / "simplex4.json")
@@ -338,12 +355,13 @@ class TestVerify:
         assert json.loads(out)["dominates"] is False
 
     def test_seed_env(self, capsys, cube3, monkeypatch):
+        # seeds come from --seed alone: the environment is not read
         monkeypatch.setenv("SLICEBOUND_SEED", "17")
         code, out, _ = run(capsys, "verify", "section", "--input", cube3,
                            "--subspace", '{"coordinate": [0, 1]}',
                            "--samples", "5000")
         assert code == 0
-        assert json.loads(out)["seed"] == 17
+        assert json.loads(out)["seed"] == 0
 
     def test_deterministic(self, capsys, cube3):
         argv = ("verify", "section", "--input", cube3,
@@ -392,22 +410,22 @@ class TestOutputFile:
 
 
 SUB = '{"coordinate": [0, 1]}'
-# the options each subcommand reads; nothing else is accepted
+# the options each subcommand reads, 38 settable values in all; nothing
+# else is accepted
 SURFACE = {
-    "validate": {"--input", "--tol-identity", "--output", "--format"},
-    "project": {"--input", "--subspace", "--tol-proj", "--output",
-                "--format"},
-    "bound": {"--input", "--subspace", "--bounds", "--force", "--tol-proj",
-              "--output", "--format"},
+    "validate": {"--input", "--output", "--format"},
+    "project": {"--input", "--subspace", "--output", "--format"},
+    "bound": {"--input", "--subspace", "--bounds", "--force", "--output",
+              "--format"},
     "verify": {"what", "--input", "--subspace", "--bounds", "--oracle",
-               "--force", "--samples", "--seed", "--tol-proj", "--output",
-               "--format"},
+               "--force", "--samples", "--seed", "--output", "--format"},
     "construct": {"body", "--k", "--n", "--one-sided", "--output",
                   "--format"},
     "sweep": {"--input", "--count", "--k", "--bounds", "--force",
-              "--samples", "--seed", "--tol-proj", "--output", "--format"},
+              "--samples", "--seed", "--output", "--format"},
 }
-# an accepted value for each option; None for flags
+# a value for each option; None for flags.  --tol-identity and --tol-proj
+# are retired (the tolerances are fixed constants): no subcommand reads them
 VALUES = {
     "--input": "cube3.json", "--subspace": SUB,
     "--bounds": "ab_old", "--oracle": "mc", "--force": None,

@@ -13,7 +13,7 @@ from slicebound import (
     simplex_decomposition,
     validate,
 )
-from slicebound.decomp import _complete
+from slicebound.decomp import _complete, op_norm_residual
 
 
 def random_rotation(n, rng):
@@ -90,10 +90,11 @@ class TestSubspace:
         rng = np.random.default_rng(1)
         H = Subspace.random(6, 3, rng)
         x = rng.standard_normal(6)
-        coords = H.project_coords(x)
+        coords = H.basis @ x
         # embedding the coordinates reproduces the orthogonal projection
-        proj_x = H.basis.T @ coords
-        assert np.allclose(H.embed(coords), proj_x)
+        proj_x = coords @ H.basis
+        assert np.allclose(proj_x, H.basis.T @ H.basis @ x)
+        assert np.allclose(H.basis @ (x - proj_x), 0.0)
 
     def test_from_dict_variants(self):
         assert Subspace.from_dict({"coordinate": [0]}, 3).k == 1
@@ -175,7 +176,9 @@ class TestLift:
         rng = np.random.default_rng(12)
         proj = project(cube_decomposition(4), Subspace.random(4, 2, rng))
         lf = lift(proj)
-        assert lf.complement_identity_residual() < 1e-10
+        mat = (lf.defect_weights[:, None] * lf.complement_vectors).T @ (
+            lf.complement_vectors)
+        assert op_norm_residual(mat, np.eye(proj.m0 - proj.k)) < 1e-10
 
     def test_bad_projection_rejected(self):
         proj = project(cube_decomposition(3), Subspace.coordinate(3, [0, 1]))
