@@ -1,5 +1,6 @@
-"""Hot numeric kernels: polytope membership counting and Dykstra projections,
-vectorized over the points with numpy."""
+"""Hot numeric kernels: polytope membership counting, exact point-to-polytope
+distances for k <= 3, and Dykstra projections for higher k, vectorized over
+the points with numpy."""
 
 import numpy as np
 
@@ -11,6 +12,32 @@ def count_inside(points, normals, offsets, symmetric):
     else:
         inside = dots <= offsets
     return int(np.count_nonzero(inside.all(axis=1)))
+
+
+def exact_distances(points, normals, offsets, segments):
+    # Distances to {x : <a_c, x> <= b_c for all c} in closed form for k <= 3;
+    # normals must be unit vectors, and the segments (E, 2, k) must cover
+    # the edges (for k = 1, the interval).  Inside points get exactly 0.
+    # The largest violation is a lower bound, and the distance itself when
+    # its foot on that facet is feasible, as it is whenever the nearest point
+    # lies inside a facet; the other points take the nearest point of a
+    # segment, in blocks of at most len(points) point-segment pairs.
+    excess = points @ normals.T - offsets
+    worst = excess.argmax(axis=1)
+    dist = np.maximum(excess[np.arange(len(points)), worst], 0.0)
+    out = np.flatnonzero(dist > 0.0)
+    foot = points[out] - dist[out, None] * normals[worst[out]]
+    rest = out[(foot @ normals.T - offsets).max(axis=1) > 1e-13]
+    a, ab = segments[:, 0], segments[:, 1] - segments[:, 0]
+    block = max(1, len(points) // len(segments))
+    for start in range(0, len(rest), block):
+        idx = rest[start:start + block]
+        rel = [points[idx, i, None] - a[:, i] for i in range(a.shape[1])]
+        t = np.clip(sum(r * e for r, e in zip(rel, ab.T))
+                    / (ab * ab).sum(axis=1), 0.0, 1.0)
+        d2 = sum((r - t * e) ** 2 for r, e in zip(rel, ab.T)).min(axis=1)
+        dist[idx] = np.maximum(dist[idx], np.sqrt(d2))
+    return dist
 
 
 def dykstra_distances(points, normals, offsets, max_iter, tol):

@@ -116,7 +116,7 @@ def section_polytope(proj):
 def nonsym_section_polytope(decomp, F):
     """Section {x in F : <x, v_j> <= 1} of the contact polytope, in
     F-coordinates.  The centered identity forces a circumradius <= 2n."""
-    if decomp.centering_residual() > 1e-8:
+    if not decomp.centering_holds():
         raise StructuralError("nonsymmetric sections require a centered system")
     normals = decomp.vectors @ F.basis.T
     keep = np.linalg.norm(normals, axis=1) > 1e-12

@@ -146,7 +146,7 @@ def cmd_bound(args):
     proj = nl = None
     if ball is None:
         proj = decomp.project(system, subspace)
-        if system.centered and system.centering_residual() < 1e-8:
+        if system.centered and system.centering_holds():
             nl = decomp.lift_nonsymmetric(system, subspace)
     report = bounds.build_report(
         _parse_bounds_arg(args.bounds), proj=proj, ball=ball,
@@ -225,6 +225,8 @@ def cmd_verify(args):
            "oracle_std_error": _fmt(est.std_error),
            "bound": _fmt(bound_val),
            "dominates": dominates,
+           "distances": ("exact" if proj.k <= oracle.EXACT_MAX_K
+                         else "dykstra"),
            "samples": est.samples, "seed": est.seed}, args)
     return EXIT_OK if dominates else EXIT_GATE
 

@@ -68,6 +68,9 @@ class JohnDecomposition:
     def centering_residual(self):
         return float(np.linalg.norm(self.weights @ self.vectors))
 
+    def centering_holds(self):
+        return self.centering_residual() <= TOL_IDENTITY
+
     def to_dict(self):
         return {
             "dim": self.dim,
@@ -115,7 +118,7 @@ def validate(decomp):
         "trace": trace_res <= TOL_IDENTITY,
     }
     if decomp.centered:
-        checks["centering"] = cent_res <= TOL_IDENTITY
+        checks["centering"] = decomp.centering_holds()
     return ValidationReport(
         passed=all(checks.values()),
         unit_residual=unit_res,
@@ -342,11 +345,9 @@ class NonsymLift:
 
 def lift_nonsymmetric(decomp, F):
     """Lift a centered decomposition and a subspace F one dimension up."""
-    cent = decomp.centering_residual()
-    if cent > TOL_IDENTITY:
-        raise StructuralError(
-            f"decomposition not centered (residual {cent:.3e})"
-        )
+    if not decomp.centering_holds():
+        raise StructuralError("decomposition not centered (residual "
+                              f"{decomp.centering_residual():.3e})")
     n = decomp.dim
     if F.ambient_dim != n:
         raise StructuralError("subspace ambient dimension mismatch")

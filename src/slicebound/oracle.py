@@ -4,6 +4,7 @@ two-sided Fourier/Parseval identity checker, and Wills / mean-width oracles.
 Nothing in this module reuses a bound formula; estimates come from rejection
 sampling, Qhull halfspace intersection, or quadrature of Fourier transforms,
 so agreement with the bounds module is evidence rather than tautology.  The
+Wills oracle's distances are exact from the Qhull hull up to EXACT_MAX_K.  The
 Parseval right-hand side integrates in polar coordinates: one evaluator
 takes the radial integrals exactly, as batched sine-product integrals, and
 the angle is the single point of d = 1, an adaptive quadrature cut at the
@@ -19,7 +20,7 @@ from scipy import integrate
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
-from ._kernels import count_inside, dykstra_distances
+from ._kernels import count_inside, dykstra_distances, exact_distances
 from .bodies import section_polytope
 from .decomp import lift
 from .errors import (DegenerateRegimeError, DomainError, GateError,
@@ -27,7 +28,7 @@ from .errors import (DegenerateRegimeError, DomainError, GateError,
 from .specfun import _sinc_product_integrals
 
 _CHUNK = 1 << 16          # fixed batch size keeps streams seed-reproducible
-EXACT_MAX_K = 3           # exact volume, V_1 and Parseval lhs up to this k
+EXACT_MAX_K = 3           # exact volume, V_1, Parseval lhs, distances
 
 
 @dataclass(frozen=True)
@@ -280,11 +281,39 @@ def parseval_check(proj, samples=10 ** 6, seed=0):
     return lhs, rhs, gates
 
 
+def _hull_edges(verts, hull):
+    """Ends (E, 2, 3) of each edge of a k = 3 hull, once, and the exterior
+    angle there: the angle between the normals of the two triangles that
+    meet at it, exactly 0 on the diagonals that Qhull's triangulation draws
+    inside a facet."""
+    # triangle i meets neighbors[i, m] along the edge opposite its vertex m
+    once = np.arange(len(hull.simplices))[:, None] < hull.neighbors
+    ends = verts[hull.simplices[:, [[1, 2], [2, 0], [0, 1]]][once]]
+    n_i = hull.equations[np.nonzero(once)[0], :3]
+    n_j = hull.equations[hull.neighbors[once], :3]
+    return ends, np.arctan2(np.linalg.norm(np.cross(n_i, n_j), axis=1),
+                            np.sum(n_i * n_j, axis=1))
+
+
+def _edges(poly):
+    """Segments (E, 2, k) that cover the edges of a section with k <=
+    EXACT_MAX_K: its interval for k = 1, its hull edges for k = 2 and 3."""
+    verts, hull = _hull(poly)
+    if hull is None:
+        return verts[None]
+    if poly.k == 2:
+        return verts[hull.simplices]
+    ends, angle = _hull_edges(verts, hull)
+    return ends[angle > 0.0]
+
+
 def wills_oracle(poly, samples, seed):
     """MC estimate of the Wills functional: integral of exp(-pi dist^2).
 
-    hit_rate is the fraction of samples inside the polytope, where the
-    Dykstra distance is exactly 0."""
+    The distance to the section is exact for k <= EXACT_MAX_K (nearest
+    facet, edge or vertex of the hull) and Dykstra's cyclic projection
+    above.  hit_rate is the fraction of samples inside the polytope, where
+    the distance is exactly 0."""
     _check_bounded(poly)
     k = poly.k
     radius = poly.circumradius + 3.0   # exp(-pi dist^2) < 1e-12 beyond
@@ -293,11 +322,14 @@ def wills_oracle(poly, samples, seed):
     scale = np.linalg.norm(normals, axis=1)
     normals = normals / scale[:, None]
     offsets = offsets / scale
+    edges = _edges(poly) if k <= EXACT_MAX_K else None
     total = 0.0
     total_sq = 0.0
     hits = 0
     for pts in _sample_chunks(samples, seed, k, radius):
-        dist = dykstra_distances(pts, normals, offsets, 10 ** 4, 1e-9)
+        dist = (dykstra_distances(pts, normals, offsets, 10 ** 4, 1e-9)
+                if edges is None else
+                exact_distances(pts, normals, offsets, edges))
         vals = np.exp(-math.pi * dist ** 2)
         total += float(vals.sum())
         total_sq += float((vals ** 2).sum())
@@ -331,11 +363,6 @@ def v1_oracle(poly):
         return float(np.ptp(verts))
     if poly.k == 2:
         return 0.5 * float(hull.area)
-    # triangle i meets neighbors[i, m] along the edge opposite its vertex m
-    ends = verts[hull.simplices[:, [[1, 2], [2, 0], [0, 1]]]]
-    length = np.linalg.norm(ends[:, :, 0] - ends[:, :, 1], axis=2)
-    n_i = hull.equations[:, None, :3]
-    n_j = hull.equations[hull.neighbors, :3]
-    angle = np.arctan2(np.linalg.norm(np.cross(n_i, n_j), axis=2),
-                       np.sum(n_i * n_j, axis=2))
-    return float(np.sum(length * angle) / (4.0 * math.pi))  # each edge twice
+    ends, angle = _hull_edges(verts, hull)
+    length = np.linalg.norm(ends[:, 0] - ends[:, 1], axis=1)
+    return float(np.sum(length * angle) / (2.0 * math.pi))

@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from slicebound import bounds, oracle
+from slicebound import bodies, bounds, decomp, oracle
+from slicebound.errors import StructuralError
 from slicebound.bounds import ALL_BOUNDS
 from slicebound.cli import build_parser, main
 
@@ -160,6 +161,34 @@ class TestBound:
         entry = json.loads(out)["entries"][0]
         assert entry["value"] > 0
         assert not entry["gate"]["satisfied"]
+
+    def test_one_centering_test(self, capsys, tmp_path, monkeypatch):
+        # cmd_bound, bodies.nonsym_section_polytope and
+        # decomp.lift_nonsymmetric share one centering test that reads
+        # decomp.TOL_IDENTITY.  Shifting every simplex vector by s moves
+        # sum c_j v_j to (sum c_j) s, here 1e-10, and the identity by ~1e-20.
+        simplex = bodies.simplex_decomposition(3)
+        shift = 1e-10 / (simplex.weights.sum() * math.sqrt(3.0))
+        system = decomp.JohnDecomposition(3, simplex.vectors + shift,
+                                          simplex.weights, centered=True)
+        assert system.centering_residual() == pytest.approx(1e-10, rel=1e-3)
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps(system.to_dict()))
+        argv = ("bound", "--input", str(path),
+                "--subspace", '{"coordinate": [0, 1, 2]}')
+        nonsym = {"nonsym_fourier", "nonsym_hyperplane"}
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert nonsym <= {e["name"] for e in json.loads(out)["entries"]}
+        monkeypatch.setattr(decomp, "TOL_IDENTITY", 1e-11)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert not nonsym & {e["name"] for e in json.loads(out)["entries"]}
+        F = decomp.Subspace.coordinate(3, range(3))
+        with pytest.raises(StructuralError, match="centered"):
+            bodies.nonsym_section_polytope(system, F)
+        with pytest.raises(StructuralError, match="centered"):
+            decomp.lift_nonsymmetric(system, F)
 
     def test_unknown_bound_exit1(self, capsys, cube3):
         code, _, err = run(capsys, "bound", "--input", cube3,
@@ -334,6 +363,7 @@ class TestVerify:
         data = json.loads(out)
         assert data["dominates"]
         assert data["bound"] == pytest.approx(9.0, rel=1e-9)
+        assert data["distances"] == "exact"
 
     def test_wills_full_space(self, capsys, cube3):
         # the bound is sharp here: it equals W(cube) = 27
@@ -344,6 +374,19 @@ class TestVerify:
         data = json.loads(out)
         assert data["dominates"]
         assert data["bound"] == pytest.approx(27.0, rel=1e-9)
+
+    def test_wills_k4_dykstra(self, capsys, tmp_path):
+        # above oracle.EXACT_MAX_K the distances come from Dykstra's scheme
+        path = str(tmp_path / "cube4.json")
+        assert run(capsys, "construct", "cube", "--n", "4",
+                   "--output", path)[0] == 0
+        code, out, _ = run(capsys, "verify", "wills", "--input", path,
+                           "--subspace", '{"coordinate": [0, 1, 2, 3]}',
+                           "--samples", "20000", "--seed", "2")
+        assert code == 0
+        data = json.loads(out)
+        assert data["distances"] == "dykstra"
+        assert data["bound"] == pytest.approx(81.0, rel=1e-9)
 
     def test_wills_not_dominating_exit2(self, capsys, cube3, monkeypatch):
         monkeypatch.setattr(bounds, "bound_wills_functional",

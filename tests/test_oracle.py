@@ -26,9 +26,10 @@ from slicebound import (
 )
 from slicebound.bodies import HPolytopeSection, vol_simplex_inradius1
 from slicebound import oracle
-from slicebound._kernels import count_inside
-from slicebound.oracle import (_complement_integral, _hull, _sample_chunks,
-                               _sphere_grid)
+from slicebound._kernels import (count_inside, dykstra_distances,
+                                 exact_distances)
+from slicebound.oracle import (_ball_points, _complement_integral, _edges,
+                               _hull, _sample_chunks, _sphere_grid)
 
 
 def square_section(n=2):
@@ -351,6 +352,26 @@ class TestWillsOracle:
         assert est.hit_rate == pytest.approx(
             share, abs=5.0 * math.sqrt(share * (1.0 - share) / samples))
 
+    @pytest.mark.parametrize("name", ["hexagon", "cube", "cube5_k1",
+                                      "cube5_k2"])
+    def test_exact_matches_dykstra_path(self, name, monkeypatch):
+        # the same sample stream through the Dykstra path, which
+        # EXACT_MAX_K = 0 selects at every k
+        poly = SECTIONS[name]
+        exact = wills_oracle(poly, 2 * 10 ** 4, seed=5)
+        monkeypatch.setattr(oracle, "EXACT_MAX_K", 0)
+        dykstra = wills_oracle(poly, 2 * 10 ** 4, seed=5)
+        assert exact.mean == pytest.approx(dykstra.mean, rel=1e-10)
+        assert exact.std_error == pytest.approx(dykstra.std_error, rel=1e-10)
+        assert exact.hit_rate == dykstra.hit_rate
+
+    def test_dykstra_path_cube4(self):
+        # k = 4 is above EXACT_MAX_K; the Wills functional of [-1, 1]^4 is 81
+        proj = project(cube_decomposition(4), Subspace.coordinate(4, range(4)))
+        est = wills_oracle(section_polytope(proj), 10 ** 5, seed=13)
+        assert abs(81.0 - est.mean) <= 5.0 * est.std_error
+        assert est.std_error < 2.0
+
 
 class TestV1Oracle:
     def test_square_and_cube(self):
@@ -480,3 +501,95 @@ class TestKernelPaths:
         expected = [0.0, 1.0, math.sqrt(2.0), 2.0 + 0.5 * 0.0]
         expected[3] = math.sqrt(2.0 ** 2 + 0.5 ** 2)
         assert np.allclose(dists, expected, atol=1e-6)
+
+
+HEXAGON = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0]])
+
+
+def _sections():
+    cube3 = cube_decomposition(3)
+    out = {"hexagon": section_polytope(project(cube3, Subspace(3, HEXAGON))),
+           "cube": section_polytope(project(cube3,
+                                            Subspace.coordinate(3, range(3))))}
+    rng = np.random.default_rng(21)
+    for name, system in (("cube5", cube_decomposition(5)),
+                         ("hadamard48", hadamard_decomposition(4, 8))):
+        for k in (1, 2, 3):
+            H = Subspace.random(system.dim, k, rng)
+            out[f"{name}_k{k}"] = section_polytope(project(system, H))
+    return out
+
+
+SECTIONS = _sections()
+
+
+def _unit_constraints(poly):
+    normals, offsets = poly.expanded_constraints()
+    scale = np.linalg.norm(normals, axis=1)
+    return normals / scale[:, None], offsets / scale
+
+
+def _exact(poly, pts):
+    normals, offsets = _unit_constraints(poly)
+    return exact_distances(np.asarray(pts, dtype=float), normals, offsets,
+                           _edges(poly))
+
+
+class TestExactDistances:
+    @pytest.mark.parametrize("name", sorted(SECTIONS))
+    def test_matches_scalar_dykstra(self, name):
+        poly = SECTIONS[name]
+        pts = _ball_points(np.random.default_rng(22), 150, poly.k,
+                           poly.circumradius + 3.0)
+        normals, offsets = _unit_constraints(poly)
+        ref = _dykstra_distances_impl(pts, normals, offsets, 10 ** 5, 1e-14)
+        assert np.abs(_exact(poly, pts) - ref).max() <= 1e-12
+
+    def test_square_regions(self):
+        poly = square_section()
+        assert len(_edges(poly)) == 4
+        # inside, on the boundary, two facet regions, two vertex regions
+        pts = [[0.3, -0.2], [1.0, 0.5], [0.5, 3.0], [-2.0, 0.25],
+               [3.0, 3.0], [-1.5, 2.0]]
+        expected = [0.0, 0.0, 2.0, 1.0, math.sqrt(8.0), math.sqrt(1.25)]
+        assert _exact(poly, pts) == pytest.approx(expected, abs=1e-14)
+
+    def test_cube_regions(self):
+        poly = SECTIONS["cube"]
+        # Qhull's triangulation diagonals are not edges of the cube
+        assert len(_edges(poly)) == 12
+        # inside, on a face, facet, edge and vertex regions
+        pts = [[0.1, 0.2, -0.3], [1.0, 0.5, -1.0], [0.5, 0.25, 4.0],
+               [2.0, 3.0, 0.5], [-2.0, 0.0, -1.5], [-2.0, 3.0, 4.0]]
+        expected = [0.0, 0.0, 3.0, math.sqrt(5.0), math.sqrt(1.25),
+                    math.sqrt(14.0)]
+        assert _exact(poly, pts) == pytest.approx(expected, abs=1e-14)
+
+    @pytest.mark.parametrize("name", ["hexagon", "cube", "cube5_k1",
+                                      "hadamard48_k3"])
+    def test_inside_exactly_zero(self, name):
+        poly = SECTIONS[name]
+        pts = _ball_points(np.random.default_rng(23), 4000, poly.k,
+                           poly.circumradius)
+        inside = (np.abs(pts @ poly.normals.T) <= poly.offsets).all(axis=1)
+        assert inside.any() and not inside.all()
+        dist = _exact(poly, pts)
+        assert np.all(dist[inside] == 0.0)
+        assert np.all(dist[~inside] > 0.0)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(system=st.sampled_from(["cube5", "hadamard48"]),
+           k=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+    def test_between_violation_and_dykstra(self, system, k, seed):
+        rng = np.random.default_rng(seed)
+        system = (cube_decomposition(5) if system == "cube5"
+                  else hadamard_decomposition(4, 8))
+        poly = section_polytope(project(
+            system, Subspace.random(system.dim, k, rng)))
+        pts = _ball_points(rng, 200, k, poly.circumradius + 3.0)
+        normals, offsets = _unit_constraints(poly)
+        exact = _exact(poly, pts)
+        violation = np.maximum((pts @ normals.T - offsets).max(axis=1), 0.0)
+        dykstra = dykstra_distances(pts, normals, offsets, 10 ** 5, 1e-13)
+        assert np.all(violation <= exact)
+        assert np.all(exact <= dykstra + 1e-12)
