@@ -1,17 +1,20 @@
 """Hot numeric kernels: polytope membership counting, exact point-to-polytope
 distances for k <= 3, and Dykstra projections for higher k, vectorized over
-the points with numpy."""
+the points with numpy.  Membership is counted constraint-major, one row of N
+dots per constraint: numpy ANDs long rows elementwise several times faster
+than it reduces an (N, m) array along its short last axis."""
 
 import numpy as np
 
 
 def count_inside(points, normals, offsets, symmetric):
-    dots = points @ normals.T
+    dots = normals @ points.T
     if symmetric:
-        inside = np.abs(dots) <= offsets
-    else:
-        inside = dots <= offsets
-    return int(np.count_nonzero(inside.all(axis=1)))
+        np.abs(dots, out=dots)
+    inside = np.ones(len(points), dtype=bool)
+    for row, bound in zip(dots, offsets):
+        inside &= row <= bound
+    return int(np.count_nonzero(inside))
 
 
 def exact_distances(points, normals, offsets, segments):

@@ -179,8 +179,10 @@ class KpBall:
         object.__setattr__(self, "alphas", a)
 
     def norm(self, x):
-        dots = np.abs(np.atleast_2d(x) @ self.decomp.vectors.T)
-        return (dots ** self.p @ self.alphas) ** (1.0 / self.p)
+        dots = self.decomp.vectors @ np.atleast_2d(x).T   # (m, N)
+        np.abs(dots, out=dots)
+        dots **= self.p
+        return (self.alphas @ dots) ** (1.0 / self.p)
 
 
 def cross_polytope_ball(n):

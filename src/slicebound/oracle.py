@@ -46,10 +46,14 @@ def unit_ball_volume(k):
 
 def _ball_points(rng, count, k, radius):
     g = rng.standard_normal((count, k))
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0] = 1.0
+    sq = g[:, 0] * g[:, 0]    # np.linalg.norm's summation order for k <= 7
+    for j in range(1, k):
+        sq += g[:, j] * g[:, j]
+    sq[sq == 0] = 1.0
     r = radius * rng.random(count) ** (1.0 / k)
-    return g / norms[:, None] * r[:, None]
+    g /= np.sqrt(sq)[:, None]
+    g *= r[:, None]
+    return g
 
 
 def _check_bounded(poly):
@@ -314,15 +318,16 @@ def wills_oracle(poly, samples, seed):
     facet, edge or vertex of the hull) and Dykstra's cyclic projection
     above.  hit_rate is the fraction of samples inside the polytope, where
     the distance is exactly 0."""
-    _check_bounded(poly)
     k = poly.k
+    if k > EXACT_MAX_K:            # else _hull checks it, via _edges
+        _check_bounded(poly)
+    edges = _edges(poly) if k <= EXACT_MAX_K else None
     radius = poly.circumradius + 3.0   # exp(-pi dist^2) < 1e-12 beyond
     env = unit_ball_volume(k) * radius ** k
     normals, offsets = poly.expanded_constraints()
     scale = np.linalg.norm(normals, axis=1)
     normals = normals / scale[:, None]
     offsets = offsets / scale
-    edges = _edges(poly) if k <= EXACT_MAX_K else None
     total = 0.0
     total_sq = 0.0
     hits = 0

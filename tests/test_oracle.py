@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from slicebound import (
     DegenerateRegimeError,
@@ -365,6 +365,21 @@ class TestWillsOracle:
         assert exact.std_error == pytest.approx(dykstra.std_error, rel=1e-10)
         assert exact.hit_rate == dykstra.hit_rate
 
+    def test_checks_boundedness_once(self, monkeypatch):
+        calls = []
+        check = oracle._check_bounded
+
+        def counted(poly):
+            calls.append(poly.k)
+            return check(poly)
+
+        monkeypatch.setattr(oracle, "_check_bounded", counted)
+        wills_oracle(square_section(), 1000, seed=3)
+        assert calls == [2]
+        proj = project(cube_decomposition(4), Subspace.coordinate(4, range(4)))
+        wills_oracle(section_polytope(proj), 1000, seed=3)
+        assert calls == [2, 4]
+
     def test_dykstra_path_cube4(self):
         # k = 4 is above EXACT_MAX_K; the Wills functional of [-1, 1]^4 is 81
         proj = project(cube_decomposition(4), Subspace.coordinate(4, range(4)))
@@ -482,6 +497,38 @@ class TestKernelPaths:
                                  poly.symmetric)
         assert fast == ref
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(k=st.integers(1, 6), m=st.integers(0, 16),
+           symmetric=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    @example(k=3, m=0, symmetric=True, seed=0)
+    @example(k=2, m=0, symmetric=False, seed=1)
+    def test_count_inside_matches_fallback_random(self, k, m, symmetric,
+                                                   seed):
+        # normals, offsets and the grid points are dyadic, so every dot
+        # product is exact in any summation order and the points placed on
+        # a facet are exactly on it; generic float points ride along
+        rng = np.random.default_rng(seed)
+        normals = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], (m, k))
+        offsets = rng.integers(1, 25, m) / 8.0
+        grid = rng.integers(-24, 25, (150, k)) / 16.0
+        on_facet = []
+        for c in np.flatnonzero(np.any(normals != 0.0, axis=1)):
+            j = np.flatnonzero(normals[c])[0]
+            for x, side in zip(rng.integers(-24, 25, (6, k)) / 16.0,
+                               (1.0, -1.0) * 3):
+                x[j] = 0.0
+                x[j] = (side * offsets[c] - normals[c] @ x) / normals[c, j]
+                assert normals[c] @ x == side * offsets[c]
+                on_facet.append(x)
+        on_facet = np.reshape(on_facet, (-1, k))
+        pts = np.vstack([grid, on_facet, rng.standard_normal((150, k))])
+        assert count_inside(pts, normals, offsets, symmetric) == \
+            _count_inside_impl(pts, normals, offsets, symmetric)
+        assert count_inside(on_facet, normals, offsets, symmetric) == \
+            _count_inside_impl(on_facet, normals, offsets, symmetric)
+        if m == 0:
+            assert count_inside(pts, normals, offsets, symmetric) == len(pts)
+
     def test_dykstra_matches_fallback(self):
         from slicebound._kernels import dykstra_distances
         rng = np.random.default_rng(13)
@@ -593,3 +640,57 @@ class TestExactDistances:
         dykstra = dykstra_distances(pts, normals, offsets, 10 ** 5, 1e-13)
         assert np.all(violation <= exact)
         assert np.all(exact <= dykstra + 1e-12)
+
+
+def _ball_points_reference(rng, count, k, radius):
+    # the sampler's formula written plainly: np.linalg.norm, then g / |g| * r
+    g = rng.standard_normal((count, k))
+    norms = np.linalg.norm(g, axis=1)
+    norms[norms == 0] = 1.0
+    r = radius * rng.random(count) ** (1.0 / k)
+    return g / norms[:, None] * r[:, None]
+
+
+class TestSampleStream:
+    # frozen formulas rather than hit counts: numpy does not promise that a
+    # Generator's stream stays the same across versions
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_ball_points_unchanged(self, k):
+        for seed in (0, 7, 2 ** 40 + 3):
+            for count in (1, 1000, 65536):
+                got = _ball_points(np.random.default_rng(seed), count, k, 1.7)
+                want = _ball_points_reference(np.random.default_rng(seed),
+                                              count, k, 1.7)
+                assert np.array_equal(got, want)
+
+    def test_ball_points_zero_row(self):
+        class Zeros:
+            def standard_normal(self, shape):
+                return np.zeros(shape)
+
+            def random(self, count):
+                return np.full(count, 0.5)
+
+        assert np.array_equal(_ball_points(Zeros(), 5, 3, 2.0),
+                              np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("p", [1.0, 1.35, 2.0])
+    def test_kp_norm_unchanged(self, p):
+        rng = np.random.default_rng(31)
+        system = hadamard_decomposition(4, 8)
+        ball = KpBall(system, p, rng.uniform(0.5, 2.0, system.m))
+        H = Subspace.random(system.dim, 3, rng)
+        radius = math.sqrt(float(np.sum(
+            system.weights * ball.alphas ** (-2.0 / p))))
+        x = np.vstack([pts @ H.basis
+                       for pts in _sample_chunks(4 * 10 ** 5, 8, 3, radius)])
+        got = ball.norm(x)
+        # (|x V^T|^p . alpha)^(1/p) over an (N, m) array
+        want = ((np.abs(x @ system.vectors.T) ** p @ ball.alphas)
+                ** (1.0 / p))
+        assert np.all(np.abs(got - want) <= 1e-15 * want)
+        inside = np.count_nonzero(got <= 1.0)
+        assert 0 < inside < len(x)
+        assert inside == np.count_nonzero(want <= 1.0)
+        assert ball.norm(x[0]).shape == (1,)
