@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
+from scipy import special
 
 from .bodies import vol_ball_p, vol_simplex_inradius1
 from .decomp import project
@@ -27,6 +27,12 @@ from .specfun import (
 
 GATE_SLACK = 1e-12
 LIMIT_EPS = 1e-9     # 1 - tc below this: use the tc -> 1 limit branch
+
+# bound_kp_lower's fixed outer rule (_kp_lower_integral)
+_KP_HEAD_NODES = 12     # Gauss-Jacobi nodes on [0, 1/max s_j]
+_KP_PANEL_NODES = 12    # Gauss-Legendre nodes per tail panel
+_KP_PANEL_WIDTH = 2.0   # tail panel width in log t
+_KP_TAIL_RTOL = 1e-13   # stop at a panel adding at most this share
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +222,49 @@ def bound_kp_upper(ball, H):
     return vol_ball_p(proj.k, p) * math.exp(log_prod)
 
 
+def _kp_lower_integral(p, beta, s):
+    """integral_0^inf t^(beta-1) prod_j gamma_p(sqrt(t s_j)) dt, all s_j > 0.
+
+    Head: Gauss-Jacobi with weight t^(beta-1) on [0, 1/max s_j], where the
+    product is entire in t.  Tail: fixed-width Gauss-Legendre panels in
+    u = log t (each factor is a translate of gamma_p(e^(u/2))) until a panel
+    adds at most _KP_TAIL_RTOL of the sum.  With a factors the tail decays
+    at rate a(1+p)/2 - beta in u; at most k-1 of the tc_j are 1, so that is
+    at least (p(m0-k+1)+1)/2 > 0.  A walk that never stopped would end in
+    math.exp's OverflowError."""
+
+    def prod(t):
+        return math.prod(gamma_p(p, math.sqrt(t * sj)) for sj in s)
+
+    t_head = 1.0 / max(s)
+    x, w = special.roots_jacobi(_KP_HEAD_NODES, 0.0, beta - 1.0)
+    total = (t_head / 2.0) ** beta * sum(
+        wi * prod(t_head * (1.0 + xi) / 2.0) for xi, wi in zip(x, w))
+    x, w = np.polynomial.legendre.leggauss(_KP_PANEL_NODES)
+    half = _KP_PANEL_WIDTH / 2.0
+    u0 = math.log(t_head)
+    while True:
+        panel = half * sum(
+            wi * math.exp(beta * u) * prod(math.exp(u))
+            for u, wi in zip(u0 + half * (1.0 + x), w))
+        total += panel
+        if panel <= _KP_TAIL_RTOL * total:
+            return total
+        u0 += _KP_PANEL_WIDTH
+
+
 def bound_kp_lower(ball, H):
     """Quadrature lower bound for p in [1, 2] sections; needs m0 > k.
 
     Integrates t^(beta-1) * prod_j gamma_p(sqrt(t s_j)) over t > 0 with
     beta = (m0-k)/2 and s_j = (c_j / alpha_j^(2/p)) (1 - tc_j); indices with
-    tc_j = 1 contribute the constant gamma_p(0).  gamma_p is computed by its
-    own quadrature at each node of the outer one."""
+    tc_j = 1 (s_j < LIMIT_EPS) contribute the constant gamma_p(0).  The
+    outer integral is one fixed rule (_kp_lower_integral), with gamma_p's
+    own quadrature at each node.  The integrand is positive (gamma_p is 2 pi
+    times a symmetric p-stable density), so cutting the tail only lowers
+    the value; neither the rule's nor gamma_p's error is subtracted.
+    Raises DegenerateRegimeError when m0 = k, or when no s_j reaches
+    LIMIT_EPS (a constant times t^(beta-1) has no finite integral)."""
     proj, alphas = _ball_projection(ball, H)
     m0, k = proj.m0, proj.k
     p = ball.p
@@ -231,16 +273,12 @@ def bound_kp_lower(ball, H):
     beta = (m0 - k) / 2.0
     s = proj.weights / alphas ** (2.0 / p) * (1.0 - proj.tilde_weights)
     s = np.maximum(s, 0.0)
-    const = gamma_p(p, 0.0) ** int(np.sum(s < LIMIT_EPS))
     active = s[s >= LIMIT_EPS].tolist()
-
-    def integrand(t):
-        return t ** (beta - 1.0) * math.prod(
-            gamma_p(p, math.sqrt(t * sj)) for sj in active)
-
-    v1, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-11, limit=400)
-    v2, _ = integrate.quad(integrand, 1.0, np.inf, epsabs=1e-11, limit=400)
-    integral = const * (v1 + v2)
+    if not active:
+        raise DegenerateRegimeError(
+            "lower bound diverges: every s_j is below LIMIT_EPS")
+    const = gamma_p(p, 0.0) ** (len(s) - len(active))
+    integral = const * _kp_lower_integral(p, beta, active)
     log_pref = float(np.sum(0.5 * np.log(proj.weights) - np.log(alphas) / p))
     log_pref -= (m0 - k) * math.log(2.0 * math.pi)
     log_pref += beta * math.log(math.pi) + beta * math.log(m0 - k)

@@ -88,9 +88,13 @@ def _hit_or_miss(count_hits, samples, seed, k, radius):
         raise DegenerateRegimeError(f"no hit in {samples} samples")
     env = unit_ball_volume(k) * radius ** k
     p = hits / samples
+    # every sample a hit: the binomial error would be 0, so report the
+    # Wilson score half-width at z = 1, 1/(2(n+1)), instead
+    se = (math.sqrt(p * (1.0 - p) / samples) if hits < samples
+          else 0.5 / (samples + 1.0))
     return McEstimate(
         mean=env * p,
-        std_error=env * math.sqrt(p * (1.0 - p) / samples),
+        std_error=env * se,
         samples=samples,
         seed=seed,
         hit_rate=p,

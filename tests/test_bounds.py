@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import integrate
 
 from slicebound import (
     ALL_BOUNDS,
@@ -373,7 +376,17 @@ class TestKpBounds:
         for k in (1, 2):
             H = Subspace.random(3, k, rng)
             assert bound_kp_lower(ball, H) == pytest.approx(
-                vol_ball_p(k, 2.0), rel=1e-6)
+                vol_ball_p(k, 2.0), rel=1e-10)
+
+    def test_lower_hyperplane_reference(self):
+        # for a hyperplane w^perp with unit alphas the Plancherel bound is
+        # Koldobsky's exact section volume.  Here w = (2, 3, 6)/7 in B_1.5^3;
+        # the reference is the polar area integral_0^pi ||u(phi)||^(-2) dphi
+        # by mpmath.quad at 50 digits, split where a coordinate of u vanishes
+        ball = KpBall(cube_decomposition(3, one_sided=True), 1.5, np.ones(3))
+        H = Subspace(3, np.array([[3.0, -2.0, 0.0], [12.0, 18.0, -13.0]]))
+        assert bound_kp_lower(ball, H) == pytest.approx(
+            2.4578858892586116613817603133911, rel=1e-10)
 
     @pytest.mark.parametrize("p", [1.0, 1.1, 1.3, 1.5, 1.7, 1.9, 2.0])
     def test_lower_line_equality(self, p):
@@ -397,6 +410,58 @@ class TestKpBounds:
         ball = KpBall(cube_decomposition(2, one_sided=True), 1.5, np.ones(2))
         with pytest.raises(DegenerateRegimeError):
             bound_kp_lower(ball, Subspace.coordinate(2, [0, 1]))
+
+    def test_lower_no_active_factor(self):
+        # alphas this large put every s_j below LIMIT_EPS: the integrand is
+        # a constant times t^(beta-1), whose integral diverges
+        ball = KpBall(cube_decomposition(3, one_sided=True), 1.5,
+                      np.full(3, 1e8))
+        H = Subspace(3, np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]]))
+        with pytest.raises(DegenerateRegimeError, match="diverges"):
+            bound_kp_lower(ball, H)
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(nk=st.integers(3, 6).flatmap(
+               lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+           p=st.floats(1.02, 1.98),
+           alphas=st.lists(st.floats(0.75, 1.5), min_size=6, max_size=6),
+           seed=st.integers(0, 2 ** 31 - 1))
+    def test_lower_matches_adaptive_quad(self, nk, p, alphas, seed):
+        # the fixed log-t rule against adaptive quad on [0, 1] and [1, inf)
+        n, k = nk
+        ball = KpBall(cube_decomposition(n, one_sided=True), p, alphas[:n])
+        H = Subspace.random(n, k, np.random.default_rng(seed))
+        with mock.patch.object(bounds_module, "_kp_lower_integral",
+                               _adaptive_integral):
+            want = bound_kp_lower(ball, H)
+        assert bound_kp_lower(ball, H) == pytest.approx(want, rel=1e-9)
+
+    def test_lower_gamma_p_calls(self, monkeypatch):
+        # 8 active factors; adaptive quad needed 2,593 gamma_p calls here
+        calls = []
+        gamma_p = bounds_module.gamma_p
+
+        def counted(p, y):
+            calls.append(y)
+            return gamma_p(p, y)
+
+        monkeypatch.setattr(bounds_module, "gamma_p", counted)
+        d = hadamard_decomposition(4, 5)
+        ball = KpBall(d, 1.69, np.ones(len(d.weights)))
+        bound_kp_lower(ball, Subspace.random(5, 3, np.random.default_rng(0)))
+        assert 0 < len(calls) <= 800
+
+
+def _adaptive_integral(p, beta, s):
+    """_kp_lower_integral by adaptive quad on [0, 1] and [1, inf)."""
+
+    def integrand(t):
+        return t ** (beta - 1.0) * math.prod(
+            bounds_module.gamma_p(p, math.sqrt(t * sj)) for sj in s)
+
+    v1, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-11, limit=400)
+    v2, _ = integrate.quad(integrand, 1.0, np.inf, epsabs=1e-11, limit=400)
+    return v1 + v2
 
 
 class TestNonsymBounds:

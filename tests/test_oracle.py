@@ -49,10 +49,15 @@ class TestMcVolume:
         assert est.std_error < 0.05
 
     def test_diagonal_segment(self):
-        # the envelope coincides with the segment: hit rate 1, zero variance
-        est = mc_volume(diagonal_segment(), 10 ** 5, seed=2)
+        # the envelope coincides with the segment: hit rate 1, where the
+        # error is the Wilson score half-width env / (2 (n + 1)), not 0
+        n = 10 ** 5
+        est = mc_volume(diagonal_segment(), n, seed=2)
+        assert est.hit_rate == 1.0
         assert est.mean == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-12)
-        assert est.std_error == 0.0
+        assert est.std_error > 0.0
+        assert est.std_error == pytest.approx(
+            2.0 * math.sqrt(2.0) / (2.0 * (n + 1)), rel=1e-12)
 
     def test_hadamard_section(self):
         proj = project(hadamard_decomposition(2, 3),

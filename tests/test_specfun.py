@@ -418,4 +418,4 @@ class TestQuadratureSettings:
         ball = KpBall(cube_decomposition(3, one_sided=True), 1.5,
                       np.ones(3))
         H = Subspace(3, np.array([[1.0, 1.0, 0.0]]))
-        assert bound_kp_lower(ball, H) == 1.781797436275039
+        assert bound_kp_lower(ball, H) == 1.7817974362806768
