@@ -162,14 +162,10 @@ def _ball_projection(ball, H):
 
 
 def bound_k1_upper(ball, H):
-    """vol(B_1^k) * prod_j (sqrt(c_j)/alpha_j)^(tc_j)."""
+    """vol(B_1^k) * prod_j (sqrt(c_j)/alpha_j)^(tc_j): kp_upper at p = 1."""
     if ball.p != 1.0:
         raise StructuralError("bound stated for p = 1 only")
-    proj, alphas = _ball_projection(ball, H)
-    log_prod = float(np.sum(
-        proj.tilde_weights * (0.5 * np.log(proj.weights) - np.log(alphas))
-    ))
-    return vol_ball_p(proj.k, 1.0) * math.exp(log_prod)
+    return bound_kp_upper(ball, H)
 
 
 def bound_k1_intermediate(ball, H):

@@ -64,20 +64,12 @@ def _emit(payload, args):
     if args.format == "csv":
         text = _to_csv(payload)
     else:
-        text = json.dumps(payload, indent=2, default=_json_default)
+        text = json.dumps(payload, indent=2)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-
-
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    raise TypeError(f"not serializable: {type(obj)}")
 
 
 def _to_csv(payload):

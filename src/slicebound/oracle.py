@@ -3,12 +3,15 @@ two-sided Fourier/Parseval identity checker, and Wills / mean-width oracles.
 
 Nothing in this module reuses a bound formula; estimates come from rejection
 sampling, Qhull halfspace intersection, or quadrature of Fourier transforms,
-so agreement with the bounds module is evidence rather than tautology.  The
-Wills oracle's distances are exact from the Qhull hull up to EXACT_MAX_K.  The
-Parseval right-hand side integrates in polar coordinates: one evaluator
-takes the radial integrals exactly, as batched sine-product integrals, and
-the angle is the single point of d = 1, an adaptive quadrature cut at the
-integrand's kinks and knots for d = 2, or a sphere grid for d = 3.
+so agreement with the bounds module is evidence rather than tautology.  Up
+to EXACT_MAX_K one primitive, _hull, gives a section's exact geometry: its
+volume, the segments covering its edges and each segment's share of its
+normal cone.  The exact volume, V_1 and the Wills oracle's exact distances
+all read it.  The Parseval right-hand side integrates in polar coordinates:
+one evaluator takes the radial integrals exactly, as batched sine-product
+integrals, and the angle is the single point of d = 1, an adaptive
+quadrature cut at the integrand's kinks and knots for d = 2, or a sphere
+grid for d = 3.
 """
 
 import itertools
@@ -111,9 +114,11 @@ def mc_volume(poly, samples, seed):
 
 
 def _hull(poly):
-    """Vertices (rows) and Qhull hull of a bounded section with k <=
-    EXACT_MAX_K; for k = 1 the hull is None and the vertices are the
-    interval's ends.  Flat or empty sections raise DegenerateRegimeError."""
+    """Exact geometry of a bounded section with k <= EXACT_MAX_K: its volume,
+    segments (E, 2, k) covering its edges (the interval itself at k = 1),
+    and each segment's share of 2 pi in its normal cone: 1 at k = 1, 1/2 at
+    k = 2, the exterior angle over 2 pi at k = 3.  Flat or empty sections
+    raise DegenerateRegimeError."""
     k = poly.k
     if k > EXACT_MAX_K:
         raise StructuralError(f"exact geometry for k <= {EXACT_MAX_K} only")
@@ -122,11 +127,12 @@ def _hull(poly):
     flat = 1e-9 * poly.circumradius  # an inradius below this is flat
     if k == 1:
         a = normals[:, 0]
-        verts = np.array([[np.max(offsets[a < 0] / a[a < 0])],
-                          [np.min(offsets[a > 0] / a[a > 0])]])
-        if verts[1, 0] - verts[0, 0] <= 2.0 * flat:
-            raise DegenerateRegimeError(f"flat interval {verts.ravel()}")
-        return verts, None
+        ends = np.array([[[np.max(offsets[a < 0] / a[a < 0])],
+                          [np.min(offsets[a > 0] / a[a > 0])]]])
+        length = ends[0, 1, 0] - ends[0, 0, 0]
+        if length <= 2.0 * flat:
+            raise DegenerateRegimeError(f"flat interval {ends.ravel()}")
+        return length, ends, np.ones(1)
     # Chebyshev centre: the centre x of the largest ball of radius r inside
     scale = np.linalg.norm(normals, axis=1)
     res = linprog(np.r_[np.zeros(k), -1.0],
@@ -137,16 +143,28 @@ def _hull(poly):
     try:
         verts = HalfspaceIntersection(
             np.column_stack([normals, -offsets]), res.x[:k]).intersections
-        return verts, ConvexHull(verts)
+        hull = ConvexHull(verts)
     except QhullError as exc:
         raise DegenerateRegimeError(f"flat polytope: {exc}") from exc
+    if k == 2:
+        return hull.volume, verts[hull.simplices], np.full(
+            len(hull.simplices), 0.5)
+    # triangle i meets neighbors[i, m] along the edge opposite its vertex m;
+    # the angle between their normals is exactly 0 on the diagonals that
+    # Qhull's triangulation draws inside a facet, which are no edges
+    once = np.arange(len(hull.simplices))[:, None] < hull.neighbors
+    ends = verts[hull.simplices[:, [[1, 2], [2, 0], [0, 1]]][once]]
+    n_i = hull.equations[np.nonzero(once)[0], :3]
+    n_j = hull.equations[hull.neighbors[once], :3]
+    share = np.arctan2(np.linalg.norm(np.cross(n_i, n_j), axis=1),
+                       np.sum(n_i * n_j, axis=1)) / (2.0 * math.pi)
+    return hull.volume, ends[share > 0.0], share[share > 0.0]
 
 
 def exact_volume_smallk(poly):
     """Exact volume from the Qhull hull; supports k <= EXACT_MAX_K.  A flat
     (lower-dimensional) polytope raises DegenerateRegimeError."""
-    verts, hull = _hull(poly)
-    return float(np.ptp(verts)) if hull is None else float(hull.volume)
+    return float(_hull(poly)[0])
 
 
 def mc_kp_section_volume(ball, H, samples, seed):
@@ -268,10 +286,10 @@ def parseval_check(proj, samples=10 ** 6, seed=0):
             )
         if d > 3:
             raise StructuralError("complement dimension > 3 unsupported")
-        const = 1.0
+        const = 1.0                # a Python float, as every output is
         trivial = np.setdiff1d(np.arange(proj.m0), lf.complement_indices)
         for j in trivial:
-            const *= 2.0 * a_all[j]
+            const *= 2.0 * float(a_all[j])
         a = a_all[lf.complement_indices]
         b = np.sqrt(lf.defect_weights)
         integral, used_mc = _complement_integral(
@@ -289,32 +307,6 @@ def parseval_check(proj, samples=10 ** 6, seed=0):
     return lhs, rhs, gates
 
 
-def _hull_edges(verts, hull):
-    """Ends (E, 2, 3) of each edge of a k = 3 hull, once, and the exterior
-    angle there: the angle between the normals of the two triangles that
-    meet at it, exactly 0 on the diagonals that Qhull's triangulation draws
-    inside a facet."""
-    # triangle i meets neighbors[i, m] along the edge opposite its vertex m
-    once = np.arange(len(hull.simplices))[:, None] < hull.neighbors
-    ends = verts[hull.simplices[:, [[1, 2], [2, 0], [0, 1]]][once]]
-    n_i = hull.equations[np.nonzero(once)[0], :3]
-    n_j = hull.equations[hull.neighbors[once], :3]
-    return ends, np.arctan2(np.linalg.norm(np.cross(n_i, n_j), axis=1),
-                            np.sum(n_i * n_j, axis=1))
-
-
-def _edges(poly):
-    """Segments (E, 2, k) that cover the edges of a section with k <=
-    EXACT_MAX_K: its interval for k = 1, its hull edges for k = 2 and 3."""
-    verts, hull = _hull(poly)
-    if hull is None:
-        return verts[None]
-    if poly.k == 2:
-        return verts[hull.simplices]
-    ends, angle = _hull_edges(verts, hull)
-    return ends[angle > 0.0]
-
-
 def wills_oracle(poly, samples, seed):
     """MC estimate of the Wills functional: integral of exp(-pi dist^2).
 
@@ -323,9 +315,9 @@ def wills_oracle(poly, samples, seed):
     above.  hit_rate is the fraction of samples inside the polytope, where
     the distance is exactly 0."""
     k = poly.k
-    if k > EXACT_MAX_K:            # else _hull checks it, via _edges
+    if k > EXACT_MAX_K:            # else _hull checks it
         _check_bounded(poly)
-    edges = _edges(poly) if k <= EXACT_MAX_K else None
+    edges = _hull(poly)[1] if k <= EXACT_MAX_K else None
     radius = poly.circumradius + 3.0   # exp(-pi dist^2) < 1e-12 beyond
     env = unit_ball_volume(k) * radius ** k
     normals, offsets = poly.expanded_constraints()
@@ -365,13 +357,9 @@ def _sphere_grid(count):
 
 def v1_oracle(poly):
     """First intrinsic volume from the Qhull hull; supports k <= EXACT_MAX_K.
-    V_1 is the length for k = 1, half the perimeter for k = 2, and for k = 3
-    the sum over edges of length times exterior angle, over 2 pi."""
-    verts, hull = _hull(poly)
-    if hull is None:
-        return float(np.ptp(verts))
-    if poly.k == 2:
-        return 0.5 * float(hull.area)
-    ends, angle = _hull_edges(verts, hull)
-    length = np.linalg.norm(ends[:, 0] - ends[:, 1], axis=1)
-    return float(np.sum(length * angle) / (2.0 * math.pi))
+    V_1 sums each edge's length times its share of 2 pi in its normal cone:
+    the length at k = 1, half the perimeter at k = 2, and the edges' lengths
+    times their exterior angles over 2 pi at k = 3."""
+    _, ends, share = _hull(poly)
+    length = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1)
+    return float(np.sum(length * share))

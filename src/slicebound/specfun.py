@@ -103,9 +103,11 @@ def gamma_p(p, y):
     if y == 0.0:
         return 2.0 * math.gamma(1.0 + 1.0 / p)
     cutoff = (36.8) ** (1.0 / p)  # exp(-x^p) < 1e-16 beyond
+    # at the default epsrel QUADPACK accepts a 15-point estimate at isolated
+    # y that is off by up to 6.4e-7 relative
     val, _ = integrate.quad(
         lambda x: math.exp(-x ** p), 0.0, cutoff,
-        weight="cos", wvar=y, epsabs=1e-11, limit=400,
+        weight="cos", wvar=y, epsabs=1e-11, epsrel=1e-10, limit=400,
     )
     return 2.0 * val
 

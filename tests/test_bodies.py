@@ -78,10 +78,11 @@ class TestSectionPolytope:
         d = hadamard_decomposition(4, 6)
         proj = project(d, Subspace.random(6, 3, rng))
         poly = section_polytope(proj)
-        # vertices of the section must fit inside the envelope ball
+        # vertices of the section, the ends of its edges, must fit inside
+        # the envelope ball
         from slicebound.oracle import _hull
-        verts, _ = _hull(poly)
-        assert np.linalg.norm(verts, axis=1).max() <= poly.circumradius + 1e-9
+        _, ends, _ = _hull(poly)
+        assert np.linalg.norm(ends, axis=2).max() <= poly.circumradius + 1e-9
 
     def test_expanded_constraints(self):
         proj = project(cube_decomposition(2), Subspace.coordinate(2, [0]))

@@ -341,6 +341,19 @@ class TestVerify:
         assert out == ""
         assert "does not converge" in err
 
+    def test_parseval_trivial_factor(self, capsys, cube3_one_sided):
+        # e_1 lies in H, so its factor is trivial (tc_1 = 1) and enters the
+        # rhs as a constant; the section is [-1, 1] x [-sqrt 2, sqrt 2]
+        code, out, _ = run(capsys, "verify", "parseval",
+                           "--input", cube3_one_sided,
+                           "--subspace",
+                           '{"basis": [[1, 0, 0], [0, 1, 1]]}')
+        assert code == 0
+        data = json.loads(out)
+        assert data["agree"] is True
+        assert data["lhs"] == pytest.approx(4.0 * math.sqrt(2.0), rel=1e-12)
+        assert data["rhs"] == pytest.approx(data["lhs"], rel=1e-8)
+
     def test_parseval_full_space_mc(self, capsys, tmp_path):
         # k = 4: the lhs is Monte-Carlo and agrees within its error bar
         path = str(tmp_path / "simplex4.json")

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from slicebound import (
     DegenerateRegimeError,
     DomainError,
+    JohnDecomposition,
     KpBall,
     StructuralError,
     Subspace,
@@ -28,8 +29,8 @@ from slicebound.bodies import HPolytopeSection, vol_simplex_inradius1
 from slicebound import oracle
 from slicebound._kernels import (count_inside, dykstra_distances,
                                  exact_distances)
-from slicebound.oracle import (_ball_points, _complement_integral, _edges,
-                               _hull, _sample_chunks, _sphere_grid)
+from slicebound.oracle import (_ball_points, _complement_integral, _hull,
+                               _sample_chunks, _sphere_grid)
 
 
 def square_section(n=2):
@@ -177,10 +178,12 @@ class TestExactVolume:
             exact_volume_smallk(flat)
 
     def test_vertex_enumeration(self):
-        verts, hull = _hull(square_section())
-        assert verts.shape == (4, 2)
-        assert len(hull.vertices) == 4
-        assert np.allclose(np.abs(verts), 1.0)
+        volume, ends, share = _hull(square_section())
+        assert volume == pytest.approx(4.0, rel=1e-12)
+        assert ends.shape == (4, 2, 2)
+        assert np.allclose(np.abs(ends), 1.0)
+        assert len(np.unique(ends.reshape(-1, 2), axis=0)) == 4
+        assert np.array_equal(share, np.full(4, 0.5))
 
 
 class TestMcKpSection:
@@ -411,6 +414,66 @@ class TestV1Oracle:
             v1_oracle(section_polytope(proj))
 
 
+def _rotated(system, H, seed):
+    """The system and subspace under one random rotation of R^n, with the
+    subspace's basis also turned by a random orthogonal k x k map, so that
+    the section is rotated in its own coordinates."""
+    rng = np.random.default_rng(seed)
+    Q = np.linalg.qr(rng.standard_normal((system.dim, system.dim)))[0]
+    R = np.linalg.qr(rng.standard_normal((H.k, H.k)))[0]
+    turned = JohnDecomposition(system.dim, system.vectors @ Q.T,
+                               system.weights, system.centered)
+    return turned, Subspace(H.ambient_dim, R @ H.basis @ Q.T)
+
+
+class TestHullPrimitive:
+    """Volume and V_1 from _hull against closed forms, with no Monte-Carlo
+    tolerance.  On squares and cubes exterior and interior angles are both
+    pi/2; the octahedron and tetrahedron tell them apart."""
+
+    def test_regular_octahedron(self):
+        # the symmetric full-space section of simplex(3): |<x, v_j>| <= 1
+        poly = section_polytope(project(simplex_decomposition(3),
+                                        Subspace.coordinate(3, range(3))))
+        assert exact_volume_smallk(poly) == pytest.approx(
+            4.0 * math.sqrt(3.0), rel=1e-12)
+        assert v1_oracle(poly) == pytest.approx(
+            6.0 * math.sqrt(6.0) * math.acos(1.0 / 3.0) / math.pi, rel=1e-12)
+        _, ends, share = _hull(poly)
+        assert len(ends) == 12
+        assert share == pytest.approx(
+            np.full(12, math.acos(1.0 / 3.0) / (2.0 * math.pi)), rel=1e-12)
+
+    def test_regular_tetrahedron(self):
+        poly = nonsym_section_polytope(simplex_decomposition(3),
+                                       Subspace.coordinate(3, range(3)))
+        assert exact_volume_smallk(poly) == pytest.approx(
+            8.0 * math.sqrt(3.0), rel=1e-12)
+        assert v1_oracle(poly) == pytest.approx(
+            6.0 * math.sqrt(6.0) * (math.pi - math.acos(1.0 / 3.0)) / math.pi,
+            rel=1e-12)
+        assert len(_hull(poly)[1]) == 6
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_rotation_invariant(self, k, symmetric):
+        system = (cube_decomposition(5) if symmetric
+                  else simplex_decomposition(4))
+        H = Subspace.random(system.dim, k, np.random.default_rng(40 + k))
+        turned, turned_H = _rotated(system, H, seed=50 + k)
+
+        def section(system, H):
+            if symmetric:
+                return section_polytope(project(system, H))
+            return nonsym_section_polytope(system, H)
+
+        before, after = section(system, H), section(turned, turned_H)
+        assert exact_volume_smallk(after) == pytest.approx(
+            exact_volume_smallk(before), rel=1e-12)
+        assert v1_oracle(after) == pytest.approx(v1_oracle(before),
+                                                 rel=1e-12)
+
+
 class TestSphereGrid:
     def test_unit_norm(self):
         dirs = _sphere_grid(500)
@@ -584,7 +647,7 @@ def _unit_constraints(poly):
 def _exact(poly, pts):
     normals, offsets = _unit_constraints(poly)
     return exact_distances(np.asarray(pts, dtype=float), normals, offsets,
-                           _edges(poly))
+                           _hull(poly)[1])
 
 
 class TestExactDistances:
@@ -599,7 +662,7 @@ class TestExactDistances:
 
     def test_square_regions(self):
         poly = square_section()
-        assert len(_edges(poly)) == 4
+        assert len(_hull(poly)[1]) == 4
         # inside, on the boundary, two facet regions, two vertex regions
         pts = [[0.3, -0.2], [1.0, 0.5], [0.5, 3.0], [-2.0, 0.25],
                [3.0, 3.0], [-1.5, 2.0]]
@@ -609,7 +672,7 @@ class TestExactDistances:
     def test_cube_regions(self):
         poly = SECTIONS["cube"]
         # Qhull's triangulation diagonals are not edges of the cube
-        assert len(_edges(poly)) == 12
+        assert len(_hull(poly)[1]) == 12
         # inside, on a face, facet, edge and vertex regions
         pts = [[0.1, 0.2, -0.3], [1.0, 0.5, -1.0], [0.5, 0.25, 4.0],
                [2.0, 3.0, 0.5], [-2.0, 0.0, -1.5], [-2.0, 3.0, 4.0]]
