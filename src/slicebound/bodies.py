@@ -18,8 +18,11 @@ class HPolytopeSection:
     """Polytope in subspace coordinates: {y : <y, a_i> <= b_i}.
 
     When symmetric, each (a_i, b_i) stands for the pair +-a_i.
-    circumradius is an a-priori bound on the Euclidean norm over the body,
-    used as the rejection-sampling envelope.
+    circumradius is an a-priori bound on the Euclidean norm over the body.
+    It is the Wills oracle's sampling envelope and the scale below which a
+    section counts as flat; the Monte-Carlo volume samples a parallelotope
+    cut from the body's own slabs instead, and reads it only to bound the
+    slabs of a one-sided polytope.
     """
 
     subspace: Subspace
@@ -179,7 +182,11 @@ class KpBall:
         object.__setattr__(self, "alphas", a)
 
     def norm(self, x):
-        dots = self.decomp.vectors @ np.atleast_2d(x).T   # (m, N)
+        return self.norm_from_dots(self.decomp.vectors @ np.atleast_2d(x).T)
+
+    def norm_from_dots(self, dots):
+        """The norm of the points whose dot products <x, v_j> are the rows
+        of the (m, N) array dots, which it overwrites."""
         np.abs(dots, out=dots)
         dots **= self.p
         return (self.alphas @ dots) ** (1.0 / self.p)

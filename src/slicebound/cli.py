@@ -191,6 +191,7 @@ def cmd_verify(args):
         if est is not None:
             out["mc_mean"] = _fmt(est.mean)
             out["mc_std_error"] = _fmt(est.std_error)
+            out["mc_hit_rate"] = _fmt(est.hit_rate)
         if exact is not None:
             out["exact"] = _fmt(exact)
         out["bounds"] = report.entries

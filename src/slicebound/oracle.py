@@ -3,7 +3,10 @@ two-sided Fourier/Parseval identity checker, and Wills / mean-width oracles.
 
 Nothing in this module reuses a bound formula; estimates come from rejection
 sampling, Qhull halfspace intersection, or quadrature of Fourier transforms,
-so agreement with the bounds module is evidence rather than tautology.  Up
+so agreement with the bounds module is evidence rather than tautology.  The
+Monte-Carlo volumes of polytopes and l_p balls sample one envelope, a
+parallelotope cut by k of the body's own slabs, picked by a pivoted QR;
+their error bar is the Wilson score half-width of the hit rate.  Up
 to EXACT_MAX_K one primitive, _hull, gives a section's exact geometry: its
 volume, the segments covering its edges and each segment's share of its
 normal cone.  The exact volume, V_1 and the Wills oracle's exact distances
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
+from scipy.linalg import qr
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull, HalfspaceIntersection, QhullError
 
@@ -82,22 +86,54 @@ def _sample_chunks(samples, seed, k, radius):
         yield _ball_points(rng, min(_CHUNK, samples - done), k, radius)
 
 
-def _hit_or_miss(count_hits, samples, seed, k, radius):
-    """Volume of a body inside the k-ball of the given radius from the hit
-    count of each chunk of uniform points in that ball."""
-    hits = sum(count_hits(pts)
-               for pts in _sample_chunks(samples, seed, k, radius))
+def _slab_envelope(rows, lo, hi):
+    """The parallelotope that k of the slabs lo_i <= <a_i, y> <= hi_i cut,
+    where every slab holds on the body and the rows a_i span R^k.
+
+    The k slabs come from a pivoted QR of the rows a_i over their
+    half-widths, which keeps |det| of the picked scaled rows M_S large and
+    so the parallelotope small.  Returns (C, shift, pick, volume): the map
+    y(u) = M_S^-1 (u + mid_S / half_S) carries [-1, 1]^k onto the
+    parallelotope, <a_i, y(u)> = (C u)_i + shift_i for every row i with
+    C = A M_S^-1, and volume = 2^k prod half_S / |det A_S| is a Python float.
+    """
+    k = rows.shape[1]
+    if np.any(hi <= lo):
+        raise DegenerateRegimeError("empty slab: the body is empty")
+    half = 0.5 * (hi - lo)
+    scaled = rows / half[:, None]
+    r, piv = qr(scaled.T, mode="r", pivoting=True)
+    diag = np.abs(np.diag(r))       # non-increasing under column pivoting
+    if len(diag) < k or diag[k - 1] <= 1e-12 * diag[0]:
+        raise StructuralError("the slabs do not span the section")
+    pick = piv[:k]
+    c = np.linalg.solve(scaled[pick].T, rows.T).T
+    shift = c @ (0.5 * (hi[pick] + lo[pick]) / half[pick])
+    return c, shift, pick, float(2.0 ** k / np.prod(diag[:k]))
+
+
+def _hit_or_miss(count_hits, volume, k, samples, seed):
+    """Volume of a body from the hit counts of uniform points of [-1, 1]^k,
+    which an affine map of the given volume carries onto an envelope of the
+    body (_slab_envelope); count_hits takes one (k, N) chunk of points,
+    drawn in chunks of fixed size so that equal seeds give equal streams."""
+    if samples < 1000:
+        raise StructuralError("need at least 1000 samples")
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for done in range(0, samples, _CHUNK):
+        hits += count_hits(
+            rng.uniform(-1.0, 1.0, (k, min(_CHUNK, samples - done))))
     if hits == 0:
         raise DegenerateRegimeError(f"no hit in {samples} samples")
-    env = unit_ball_volume(k) * radius ** k
     p = hits / samples
-    # every sample a hit: the binomial error would be 0, so report the
-    # Wilson score half-width at z = 1, 1/(2(n+1)), instead
-    se = (math.sqrt(p * (1.0 - p) / samples) if hits < samples
-          else 0.5 / (samples + 1.0))
+    # the Wilson score half-width at z = 1: it stays positive at hit rate 1,
+    # where it is 1/(2(n+1)), and the binomial sqrt(p(1-p)/n) would be 0
+    se = (math.sqrt(p * (1.0 - p) / samples + 0.25 / samples ** 2)
+          / (1.0 + 1.0 / samples))
     return McEstimate(
-        mean=env * p,
-        std_error=env * se,
+        mean=volume * p,
+        std_error=volume * se,
         samples=samples,
         seed=seed,
         hit_rate=p,
@@ -105,12 +141,24 @@ def _hit_or_miss(count_hits, samples, seed, k, radius):
 
 
 def mc_volume(poly, samples, seed):
-    """Rejection-sampling volume of an H-representation polytope."""
+    """Hit-or-miss volume of an H-representation polytope in the
+    parallelotope cut from its own slabs: |<a_i, y>| <= b_i when symmetric,
+    else -R|a_i| <= <a_i, y> <= min(b_i, R|a_i|) with R the circumradius.
+    The picked slabs hold on every sample, so only the others are tested."""
     _check_bounded(poly)
+    normals, offsets = poly.normals, poly.offsets
+    if poly.symmetric:
+        lo, hi = -offsets, offsets
+    else:
+        reach = poly.circumradius * np.linalg.norm(normals, axis=1)
+        lo, hi = -reach, np.minimum(offsets, reach)
+    c, shift, pick, volume = _slab_envelope(normals, lo, hi)
+    rest = np.ones(len(normals), dtype=bool)
+    rest[pick] = False
+    c, bound = c[rest], offsets[rest] - shift[rest]
     return _hit_or_miss(
-        lambda pts: count_inside(pts, poly.normals, poly.offsets,
-                                 poly.symmetric),
-        samples, seed, poly.k, poly.circumradius)
+        lambda u: count_inside(u.T, c, bound, poly.symmetric),
+        volume, poly.k, samples, seed)
 
 
 def _hull(poly):
@@ -168,14 +216,16 @@ def exact_volume_smallk(poly):
 
 
 def mc_kp_section_volume(ball, H, samples, seed):
-    """Monte-Carlo volume of {x in H : ||x||_ball <= 1}."""
-    # |x|^2 = sum c_j <x,v_j>^2 <= sum c_j alpha_j^(-2/p) on the unit ball
-    radius = math.sqrt(float(np.sum(
-        ball.decomp.weights * ball.alphas ** (-2.0 / ball.p)
-    )))
+    """Hit-or-miss volume of {x in H : ||x||_ball <= 1} in the parallelotope
+    cut from the slabs |<y, w_j>| <= alpha_j^(-1/p), w_j = H.basis v_j, which
+    hold on the body because every term of the norm is at most 1.  The norm
+    comes from C u, the dot products <x, v_j> of the sample points."""
+    half = ball.alphas ** (-1.0 / ball.p)
+    c, _, _, volume = _slab_envelope(
+        ball.decomp.vectors @ H.basis.T, -half, half)
     return _hit_or_miss(
-        lambda pts: int(np.count_nonzero(ball.norm(pts @ H.basis) <= 1.0)),
-        samples, seed, H.k, radius)
+        lambda u: int(np.count_nonzero(ball.norm_from_dots(c @ u) <= 1.0)),
+        volume, H.k, samples, seed)
 
 
 def _complement_integral(a, b, w, d):

@@ -245,6 +245,8 @@ class TestVerify:
         data = json.loads(out)
         assert data["exact"] == pytest.approx(4.0)
         assert abs(data["mc_mean"] - 4.0) <= 3 * data["mc_std_error"] + 1e-12
+        # the square is its own envelope
+        assert data["mc_hit_rate"] == 1.0
 
     def test_section_bounds_selection(self, capsys, cube3):
         code, out, _ = run(capsys, "verify", "section", "--input", cube3,
@@ -366,6 +368,22 @@ class TestVerify:
         data = json.loads(out)
         assert code == 0
         assert data["agree"] is True
+        assert data["gates"]["lhs_std_error"] > 0
+
+    def test_parseval_full_space_parallelotope(self, capsys, tmp_path):
+        # the full-space Hadamard(2, 4) body is a parallelotope, its own
+        # Monte-Carlo envelope: every sample hits, the lhs is 16 and its
+        # error the Wilson half-width at hit rate 1
+        path = str(tmp_path / "had24.json")
+        code, _, _ = run(capsys, "construct", "hadamard", "--k", "2",
+                         "--n", "4", "--output", path)
+        assert code == 0
+        code, out, _ = run(capsys, "verify", "parseval", "--input", path,
+                           "--subspace", '{"coordinate": [0, 1, 2, 3]}')
+        data = json.loads(out)
+        assert code == 0
+        assert data["agree"] is True
+        assert data["lhs"] == pytest.approx(16.0, rel=1e-12)
         assert data["gates"]["lhs_std_error"] > 0
 
     def test_wills(self, capsys, cube3):

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.spatial import ConvexHull, HalfspaceIntersection
 
 from slicebound import (
     DegenerateRegimeError,
@@ -30,7 +32,8 @@ from slicebound import oracle
 from slicebound._kernels import (count_inside, dykstra_distances,
                                  exact_distances)
 from slicebound.oracle import (_ball_points, _complement_integral, _hull,
-                               _sample_chunks, _sphere_grid)
+                               _sample_chunks, _slab_envelope, _sphere_grid,
+                               unit_ball_volume)
 
 
 def square_section(n=2):
@@ -67,7 +70,9 @@ class TestMcVolume:
         assert abs(6.0 - est.mean) <= 3 * est.std_error
 
     def test_deterministic(self):
-        poly = square_section()
+        # the hexagon, not the square: the square is its own envelope, so
+        # every seed would give exactly 4
+        poly = SECTIONS["hexagon"]
         # chunked sampling must give bit-identical streams per seed
         e1 = mc_volume(poly, 2 * 10 ** 5, seed=7)
         e2 = mc_volume(poly, 2 * 10 ** 5, seed=7)
@@ -107,16 +112,29 @@ class TestMcVolume:
             exact_volume_smallk(wedge)
 
     def test_no_hit_raises(self):
-        # a 2e-4 square in a radius-100 envelope: 1000 samples all miss
+        # a 2e-4 square written one-sided with circumradius 100: its slabs
+        # [-100, 1e-4] cut a 1e4 envelope, and 1000 samples all miss
         tiny = HPolytopeSection(
             subspace=Subspace.coordinate(2, [0, 1]),
-            normals=np.eye(2),
-            offsets=np.array([1e-4, 1e-4]),
-            symmetric=True,
+            normals=np.vstack([np.eye(2), -np.eye(2)]),
+            offsets=np.full(4, 1e-4),
+            symmetric=False,
             circumradius=100.0,
         )
         with pytest.raises(DegenerateRegimeError):
             mc_volume(tiny, 1000, seed=0)
+
+    def test_flat_slab_raises(self):
+        # |y_2| <= 0: a slab of width 0 cuts no envelope to sample
+        flat = HPolytopeSection(
+            subspace=Subspace.coordinate(2, [0, 1]),
+            normals=np.eye(2),
+            offsets=np.array([1.0, 0.0]),
+            symmetric=True,
+            circumradius=2.0,
+        )
+        with pytest.raises(DegenerateRegimeError):
+            mc_volume(flat, 10 ** 4, seed=0)
 
     def test_rank_deficient_rejected(self):
         slab = HPolytopeSection(
@@ -762,3 +780,174 @@ class TestSampleStream:
         assert 0 < inside < len(x)
         assert inside == np.count_nonzero(want <= 1.0)
         assert ball.norm(x[0]).shape == (1,)
+
+
+def _slabs(poly):
+    """The slabs lo <= <a_i, y> <= hi that mc_volume cuts its envelope from:
+    the constraints of a symmetric polytope, and of a one-sided one cut to
+    the circumradius R, [-R |a_i|, min(b_i, R |a_i|)]."""
+    if poly.symmetric:
+        return -poly.offsets, poly.offsets
+    reach = poly.circumradius * np.linalg.norm(poly.normals, axis=1)
+    return -reach, np.minimum(poly.offsets, reach)
+
+
+def _qhull(poly):
+    """Vertices and volume of a polytope with the origin inside."""
+    normals, offsets = poly.expanded_constraints()
+    verts = HalfspaceIntersection(np.column_stack([normals, -offsets]),
+                                  np.zeros(poly.k)).intersections
+    return verts, ConvexHull(verts).volume
+
+
+def _wilson(p, n):
+    return math.sqrt(p * (1.0 - p) / n + 0.25 / n ** 2) / (1.0 + 1.0 / n)
+
+
+def _highk_sections():
+    rng = np.random.default_rng(41)
+    out = {}
+    for name, system, k in (("had48_k4", hadamard_decomposition(4, 8), 4),
+                            ("had812_k5", hadamard_decomposition(8, 12), 5),
+                            ("had812_k6", hadamard_decomposition(8, 12), 6),
+                            ("cube6_k4", cube_decomposition(6), 4),
+                            ("cube7_k6", cube_decomposition(7), 6)):
+        H = Subspace.random(system.dim, k, rng)
+        out[name] = section_polytope(project(system, H))
+    simplex5 = simplex_decomposition(5)
+    for k in (3, 4, 5):
+        out[f"simplex5_k{k}"] = nonsym_section_polytope(
+            simplex5, Subspace.random(5, k, rng))
+    return out
+
+
+HIGHK_SECTIONS = _highk_sections()
+
+
+def _assert_in_envelope(poly, verts, hull_volume):
+    """The vertices lie in the picked slabs, and the envelope holds at
+    least the hull's volume."""
+    lo, hi = _slabs(poly)
+    _, _, pick, volume = _slab_envelope(poly.normals, lo, hi)
+    dots = verts @ poly.normals[pick].T
+    tol = 1e-12 * np.abs(hi).max()
+    assert np.all(dots >= lo[pick] - tol)
+    assert np.all(dots <= hi[pick] + tol)
+    assert volume >= hull_volume * (1.0 - 1e-12)
+
+
+class TestSlabEnvelope:
+    @pytest.mark.parametrize("name", sorted(SECTIONS))
+    def test_hull_vertices_in_picked_slabs(self, name):
+        poly = SECTIONS[name]
+        hull_volume, ends, _ = _hull(poly)
+        _assert_in_envelope(poly, ends.reshape(-1, poly.k), hull_volume)
+
+    @pytest.mark.parametrize("name", sorted(HIGHK_SECTIONS))
+    def test_highk_vertices_in_picked_slabs(self, name):
+        poly = HIGHK_SECTIONS[name]
+        _assert_in_envelope(poly, *_qhull(poly))
+
+    def test_map_onto_parallelotope(self):
+        # y(u) = M_S^-1 (u + mid_S / half_S) puts the picked rows on their
+        # slabs' edges at the corners of [-1, 1]^k, and <a_i, y(u)> is
+        # (C u)_i + shift_i for every row
+        poly = HIGHK_SECTIONS["simplex5_k4"]
+        lo, hi = _slabs(poly)
+        c, shift, pick, volume = _slab_envelope(poly.normals, lo, hi)
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        m_s = poly.normals[pick] / half[pick, None]
+        u = np.random.default_rng(42).choice([-1.0, 1.0], (poly.k, 64))
+        y = np.linalg.solve(m_s, u + (mid / half)[pick, None])
+        dots = poly.normals @ y
+        assert np.allclose(dots, c @ u + shift[:, None], rtol=0, atol=1e-12)
+        assert np.allclose(dots[pick], mid[pick, None] + half[pick, None] * u,
+                           rtol=0, atol=1e-12)
+        assert volume == pytest.approx(
+            2.0 ** poly.k / abs(np.linalg.det(m_s)), rel=1e-12)
+
+    def test_non_spanning_slabs_rejected(self):
+        rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+        with pytest.raises(StructuralError):
+            _slab_envelope(rows, -np.ones(3), np.ones(3))
+
+    @pytest.mark.parametrize("name", ["cube7_k6", "had812_k5"])
+    def test_mc_matches_qhull(self, name):
+        poly = HIGHK_SECTIONS[name]
+        n = 10 ** 6
+        est = mc_volume(poly, n, seed=43)
+        volume = _slab_envelope(poly.normals, *_slabs(poly))[3]
+        assert abs(est.mean - _qhull(poly)[1]) <= 5.0 * est.std_error
+        assert est.std_error == pytest.approx(
+            volume * _wilson(est.hit_rate, n), rel=1e-12)
+        # Python scalars, which json.dumps can write
+        assert all(type(v) is float
+                   for v in (est.mean, est.std_error, est.hit_rate))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_one_sided_simplex(self, n):
+        poly = nonsym_section_polytope(simplex_decomposition(n),
+                                       Subspace.coordinate(n, range(n)))
+        est = mc_volume(poly, 2 * 10 ** 5, seed=44 + n)
+        assert abs(est.mean - vol_simplex_inradius1(n)) <= 5.0 * est.std_error
+
+    def test_one_sided_sections_match_qhull(self):
+        for k in (3, 4, 5):
+            poly = HIGHK_SECTIONS[f"simplex5_k{k}"]
+            est = mc_volume(poly, 2 * 10 ** 5, seed=50 + k)
+            assert abs(est.mean - _qhull(poly)[1]) <= 5.0 * est.std_error
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_kp_slabs_contain_body(self, p):
+        # boundary points theta / ||theta|| of the section satisfy every
+        # slab |<y, w_j>| <= alpha_j^(-1/p), not only the picked ones
+        rng = np.random.default_rng(45)
+        system = hadamard_decomposition(4, 6)
+        ball = KpBall(system, p, rng.uniform(0.75, 1.5, system.m))
+        H = Subspace.random(system.dim, 3, rng)
+        theta = rng.standard_normal((2000, 3))
+        y = theta / ball.norm(theta @ H.basis)[:, None]
+        w = system.vectors @ H.basis.T
+        half = ball.alphas ** (-1.0 / p)
+        assert np.all(np.abs(y @ w.T) <= half * (1.0 + 1e-12))
+
+
+class TestMcKpEnvelope:
+    def test_ellipsoid_p2(self):
+        rng = np.random.default_rng(46)
+        system = hadamard_decomposition(4, 6)
+        ball = KpBall(system, 2.0, rng.uniform(0.75, 1.5, system.m))
+        H = Subspace.random(system.dim, 3, rng)
+        w = system.vectors @ H.basis.T
+        gram = (ball.alphas[:, None] * w).T @ w
+        exact = unit_ball_volume(3) / math.sqrt(np.linalg.det(gram))
+        est = mc_kp_section_volume(ball, H, 4 * 10 ** 5, seed=47)
+        assert abs(est.mean - exact) <= 5.0 * est.std_error
+
+    def test_l1_hadamard48_k4_sign_patterns(self):
+        # the l_1 section is the polytope of its 2^8 sign-pattern halfspaces
+        rng = np.random.default_rng(48)
+        system = hadamard_decomposition(4, 8)
+        ball = KpBall(system, 1.0, rng.uniform(0.75, 1.5, system.m))
+        H = Subspace.random(system.dim, 4, rng)
+        w = ball.alphas[:, None] * (system.vectors @ H.basis.T)
+        signs = np.array(list(itertools.product((1.0, -1.0),
+                                                repeat=system.m)))
+        rows = signs @ w
+        verts = HalfspaceIntersection(
+            np.column_stack([rows, -np.ones(len(rows))]),
+            np.zeros(4)).intersections
+        est = mc_kp_section_volume(ball, H, 4 * 10 ** 5, seed=49)
+        assert abs(est.mean - ConvexHull(verts).volume) <= \
+            5.0 * est.std_error
+
+    def test_l1_hadamard812_k5_hits(self):
+        # its circumradius ball held about 4e5 times the body and drew no hit
+        rng = np.random.default_rng(50)
+        system = hadamard_decomposition(8, 12)
+        ball = KpBall(system, 1.0, rng.uniform(0.75, 1.5, system.m))
+        H = Subspace.random(system.dim, 5, rng)
+        est = mc_kp_section_volume(ball, H, 4 * 10 ** 5, seed=51)
+        assert est.hit_rate > 0.0
+        assert math.isfinite(est.mean) and est.mean > 0.0
+        assert 0.0 < est.std_error < est.mean
