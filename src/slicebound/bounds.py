@@ -19,6 +19,7 @@ from .decomp import project
 from .errors import DegenerateRegimeError, GateError, StructuralError
 from .specfun import (
     SINC_POWER_MAX_P,
+    WILLS_G_MAX_P,
     WillsIntegrandParams,
     gamma_p,
     sinc_power_integral,
@@ -123,7 +124,10 @@ def bound_volume_via_wills(proj):
 def bound_wills_functional(proj, lam):
     """Upper bound on the Wills functional of the lam-scaled section:
     (2 pi)^-(m0-k) * prod_j (integral of the j-th factor)^(1 - tc_j).
-    The Wills factor g is computed once per distinct (alpha, p)."""
+    The Wills factor g is computed once per distinct (alpha, p).  Beyond
+    P = WILLS_G_MAX_P it is bounded by (1 + 2 alpha)^(p - P) g(P), in log
+    space: |A_alpha| <= A_alpha(0) = 1 + 2 alpha, as A_alpha is the Fourier
+    transform of a positive function."""
     if lam <= 0:
         raise StructuralError(f"scale must be positive, got {lam}")
     m0, k = proj.m0, proj.k
@@ -139,10 +143,12 @@ def bound_wills_functional(proj, lam):
             log_acc += math.log(1.0 + 2.0 * alpha)
             continue
         p = 1.0 / defect
-        g = g_of(alpha, p)
+        excess = max(p - WILLS_G_MAX_P, 0.0)
+        g = g_of(alpha, min(p, WILLS_G_MAX_P))
         # the factor increases with g, so the upper end of g's interval
         factor = (g.value + g.abs_error_estimate) / math.sqrt(defect)
-        log_acc += defect * math.log(factor)
+        log_acc += defect * (math.log(factor)
+                             + excess * math.log1p(2.0 * alpha))
     return math.exp(log_acc)
 
 

@@ -1,16 +1,21 @@
 """One-dimensional special functions and integrals consumed by the bounds
 and the Parseval oracle.
 
-Everything here is a pure function.  The Wills factor wills_g uses fixed
-Gauss-Jacobi rules on panels between the zeros of its integrand.  The
+Everything here is a pure function.  Ball's sinc-power integral I_p and the
+Wills factor wills_g share one fixed-rule panel integrator, _panel_sum: an
+8- and a 16-point Gauss-Jacobi rule on each panel, whose weight absorbs the
+|s - z|^p behaviour of the integrand at each end z that is a zero, and
+whose nodes and weights _panel_rules builds once per exponent p.  The
 sine-product integrals use a fixed Gauss-Legendre head and an exact Si/Ci
 tail, evaluated for a batch of rows at once by _sinc_product_integrals,
-whose one caller is the Parseval oracle.  The other quadratures are
-delegated to scipy.integrate.quad (adaptive Gauss-Kronrod).  Truncated tails
-are summed exactly (the Hurwitz zeta function for sinc powers, Si/Ci for sine
-products) or bounded analytically and folded into the error estimate.
+whose one caller is the Parseval oracle.  Only gamma_p still calls
+scipy.integrate.quad (adaptive Gauss-Kronrod with a cosine weight).
+Truncated tails are summed exactly (the Hurwitz zeta function for sinc
+powers, Si/Ci for sine products) or bounded analytically and folded into
+the error estimate.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,41 +47,55 @@ class WillsIntegrandParams:
             raise DomainError(f"alpha must be >= 0, got {self.alpha}")
 
 
-# Above this p the integrand's peak at 0 is too narrow for the quadrature,
-# which then returns values near 0 with a near-0 error estimate.
+# sinc_power_integral's domain: at this p it meets the Laplace form
+# sqrt(6 pi/p)(1 - 3/(20p)) to 1e-9, and beyond it the bounds take Ball's
+# inequality I_p <= sqrt(2) pi/sqrt(p) instead.
 SINC_POWER_MAX_P = 1e5
+
+
+def _sinc_power(p):
+    """u -> (sin(u)/u)^p on (0, pi), as exp(p log1p((sin u - u)/u)) with
+    sin u - u from its Taylor series below 1, where the difference cancels:
+    the exponent then keeps a relative error of a few ulps at any p."""
+    # coefficients of sin u - u in u^3, u^5, ..., u^19, highest first
+    series = [(-1.0) ** k / math.factorial(2 * k + 1) for k in range(9, 0, -1)]
+
+    def integrand(u):
+        small = np.minimum(u, 1.0)
+        diff = np.where(u < 1.0,
+                        np.polyval(series, small * small) * small ** 3,
+                        np.sin(u) - u)
+        return np.exp(p * np.log1p(diff / u))
+    return integrand
 
 
 def sinc_power_integral(p):
     """Integral of |sin(x)/x|^p over the real line, 1 < p <= SINC_POWER_MAX_P.
 
-    Split at multiples of pi; all periods beyond the first are summed in
-    closed form through the Hurwitz zeta function, so only two smooth
-    finite-interval quadratures remain.
+    Split at multiples of pi, the half-integral is
+        int_0^pi (sin u/u)^p du + pi^-p int_0^pi sin(u)^p zeta(p, 1 + u/pi) du,
+    all periods beyond the first summed by the Hurwitz zeta function.
+    _panel_sum integrates the head on dyadic panels [pi 2^-j-1, pi 2^-j]
+    down to below 2/sqrt(p), which resolves the peak of width ~sqrt(6/p) at
+    0; the last panel ends at the zero pi.  The tail is one panel, a half
+    period of sin, whose rule carries sin(u)^p in its weights.
     """
     if p <= 1:
         raise DomainError(f"integral diverges for p <= 1 (got p={p})")
     if p > SINC_POWER_MAX_P:
         raise DomainError(
             f"quadrature unreliable for p > {SINC_POWER_MAX_P:g} (got p={p})")
-    evals = [0]
-
-    def head(u):
-        evals[0] += 1
-        if u == 0.0:
-            return 1.0
-        return abs(math.sin(u) / u) ** p
-
-    def tail(u):
-        # sum over periods k >= 1 of sin(u)^p / (u + k*pi)^p
-        evals[0] += 1
-        return math.sin(u) ** p * math.pi ** (-p) * special.zeta(p, 1.0 + u / math.pi)
-
-    v1, e1 = integrate.quad(head, 0.0, math.pi, epsabs=1e-10, epsrel=1e-10,
-                            limit=400)
-    v2, e2 = integrate.quad(tail, 0.0, math.pi, epsabs=1e-10, epsrel=1e-10,
-                            limit=400)
-    return QuadratureResult(2.0 * (v1 + v2), 2.0 * (e1 + e2), evals[0])
+    halvings = max(2, math.ceil(math.log2(math.pi * math.sqrt(p) / 2.0)))
+    edges = np.r_[0.0, math.pi * 2.0 ** -np.arange(halvings, -1, -1.0)]
+    kind = np.zeros(halvings + 1, dtype=int)
+    kind[-1] = 2
+    head = _panel_sum(_sinc_power(p), edges[:-1], edges[1:], kind, p)
+    # [0, pi] is a half period of sin: kind 4 carries sin(u)^p
+    tail = _panel_sum(
+        lambda u: math.pi ** -p * special.zeta(p, 1.0 + u / math.pi),
+        np.array([0.0]), np.array([math.pi]), np.array([4]), p)
+    return QuadratureResult(2.0 * (head[0] + tail[0]),
+                            2.0 * (head[1] + tail[1]), head[2] + tail[2])
 
 
 def ball_integral_bound_check(p):
@@ -115,10 +134,14 @@ def gamma_p(p, y):
 def indicator_ft(c, t):
     """Fourier transform of the indicator of [-c, c]: 2*sin(c*t)/t.
 
-    t may be a scalar or an array; the value at t = 0 is 2c."""
+    t may be a scalar or an array; the value at t = 0 is 2c.  Its sin(ct)
+    is bit-identical to dist_sq_ft's, so that their terms cancel
+    consistently near the zeros of A_alpha."""
     if c <= 0:
         raise DomainError(f"half-width must be positive, got {c}")
-    return 2.0 * c * np.sinc(c * np.asarray(t, dtype=float) / math.pi)
+    t = np.asarray(t, dtype=float)
+    return 2.0 * np.divide(np.sin(c * t), t, out=np.full_like(t, c),
+                           where=t != 0.0)
 
 
 def gauss_sine_integral(s):
@@ -160,20 +183,98 @@ def dist_sq_ft(alpha, z):
 _M_SINE_ENVELOPE = 6.3
 
 
+# _panel_sum's two rule orders; the value is the larger one's sum
+_PANEL_SIZES = (8, 16)
+# Gauss-Legendre rules of _PANEL_SIZES on [-1, 1], which depend on no p
+_LEGENDRE = {n: special.roots_legendre(n) for n in _PANEL_SIZES}
+# roots_jacobi overflows from p near 511 on (its weights carry 2^(2p+1)).
+# Above this p a zero end of a panel takes the Legendre rule instead: |A|^p
+# is then C^400 there, and |16-point - 8-point| still measures the panel.
+# sinc_power_integral, the one caller above WILLS_G_MAX_P, has below 1e-77
+# of I_p on such panels there.
+_JACOBI_MAX_P = 400.0
+# panels per vectorised pass of _panel_sum: bounds its memory
+_PANEL_PASS = 4096
+# _panel_sum's allowance for rounding, relative to the value: 32 ulps cover
+# a few ulps in each node's integrand and the pairwise sums over the nodes,
+# where two converged rule orders can agree more closely than either does
+# with the integral
+_PANEL_ROUNDING = 32.0 * np.finfo(float).eps
+
+
 def _gauss_jacobi_rules(n, p):
-    """n-point rules on [-1, 1] for |A|^p on a panel, indexed by which ends
-    are zeros of A: 0 neither, 1 left, 2 right, 3 both.
+    """n-point rules on [-1, 1] for |A|^p on a panel, indexed by kind:
+    which ends are zeros of A, 0 neither, 1 left, 2 right, 3 both; and 4 for
+    a panel that is a half period of A = sin(.) h, applied to |h|^p alone.
 
     A zero end carries the Jacobi weight (1 -+ x)^p.  Each weight is divided
     by its rule's weight function at the node, so every rule is applied to
-    |A|^p itself."""
-    x0, w0 = special.roots_legendre(n)
-    x1, w1 = special.roots_jacobi(n, 0.0, p)
-    x3, w3 = special.roots_jacobi(n, p, p)
-    w1 = w1 / (1.0 + x1) ** p
-    w3 = w3 / ((1.0 - x3) * (1.0 + x3)) ** p
-    return (np.stack([x0, x1, -x1[::-1], x3]),
-            np.stack([w0, w1, w1[::-1], w3]))
+    |A|^p itself; kind 4 is kind 3 with sin(pi (1 + x)/2)^p folded into its
+    weights.  Above _JACOBI_MAX_P kinds 0-3 are the Legendre rule."""
+    x0, w0 = _LEGENDRE[n]
+    if p > _JACOBI_MAX_P:
+        x1, w1, x3, w3 = x0, w0, x0, w0
+    else:
+        x1, w1 = special.roots_jacobi(n, 0.0, p)
+        x3, w3 = special.roots_jacobi(n, p, p)
+        w1 = w1 / (1.0 + x1) ** p
+        w3 = w3 / ((1.0 - x3) * (1.0 + x3)) ** p
+    # sin(pi (1 + x)/2) = sin(pi (1 - |x|)/2), exact in 1 - |x| near the ends
+    w4 = w3 * np.sin(0.5 * math.pi * (1.0 - np.abs(x3))) ** p
+    return (np.stack([x0, x1, -x1[::-1], x3, x3]),
+            np.stack([w0, w1, w1[::-1], w3, w4]))
+
+
+@functools.lru_cache(maxsize=64)
+def _panel_rules(p):
+    """Nodes and weights of shape (5, 24) for exponent p: the 8-point rules
+    of _gauss_jacobi_rules in the first 8 columns, the 16-point ones in the
+    rest, rows indexed by panel kind.  Cached per p and read-only."""
+    rules = [_gauss_jacobi_rules(n, p) for n in _PANEL_SIZES]
+    x = np.hstack([r[0] for r in rules])
+    w = np.hstack([r[1] for r in rules])
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _panel_sum(integrand, lo, hi, kind, p):
+    """Sum over the panels [lo[i], hi[i]] of integrand's integral by
+    _panel_rules(p)[kind[i]]: the 16-point value, an error estimate (the
+    sum of |16-point - 8-point| over the panels plus _PANEL_ROUNDING times
+    the value), and the number of nodes.
+
+    integrand maps an array of nodes to non-negative values: |A|^p for a
+    rule whose zero ends are zeros of A, |h|^p for kind 4."""
+    x, w = _panel_rules(p)
+    n_lo = _PANEL_SIZES[0]
+    value = err = 0.0
+    for start in range(0, kind.size, _PANEL_PASS):
+        part = slice(start, start + _PANEL_PASS)
+        k = kind[part]
+        half = 0.5 * (hi[part] - lo[part])
+        s = (lo[part] + half)[:, None] + half[:, None] * x[k]
+        q = half[:, None] * w[k] * integrand(s)
+        q_lo, q_hi = q[:, :n_lo].sum(axis=1), q[:, n_lo:].sum(axis=1)
+        value += q_hi.sum()
+        err += np.abs(q_hi - q_lo).sum()
+    return (float(value), float(err + _PANEL_ROUNDING * value),
+            kind.size * x.shape[1])
+
+
+def _dist_sq_ft_and_slope(alpha, z):
+    """dist_sq_ft(alpha, z) and its derivative in z, for z != 0, through the
+    closed form I'(s) = (1 - s I(s)) / (2 pi) of gauss_sine_integral's
+    derivative."""
+    z = np.asarray(z, dtype=float)
+    sin, cos = np.sin(alpha * z), np.cos(alpha * z)
+    i = gauss_sine_integral(z)
+    gauss = np.exp(-z * z / (4.0 * math.pi))
+    value = 2.0 * sin * (1.0 / z - i) + cos * gauss
+    slope = (2.0 * (alpha * cos * z - sin) / (z * z)
+             - (alpha * sin + cos * z / (2.0 * math.pi)) * gauss
+             - 2.0 * alpha * cos * i - sin * (1.0 - z * i) / math.pi)
+    return value, slope
 
 
 def _dist_sq_ft_zeros(alpha, s_sine, cut):
@@ -183,7 +284,8 @@ def _dist_sq_ft_zeros(alpha, s_sine, cut):
     From s_sine on, A_alpha(s) = 2 sin(alpha s)(1 - s I(s))/s to double
     precision with 1 - s I(s) < 0, so the zeros are the multiples of
     pi/alpha.  Below s_sine, sign changes on a grid finer than an eighth of
-    pi/alpha are refined together by bisection and a final secant step.
+    pi/alpha are narrowed together by 4 bisections, then refined by 3
+    Newton steps from the midpoint, each clipped to the bracket.
     """
     if alpha == 0.0:
         return np.empty(0), 0          # A_0 is a Gaussian
@@ -191,41 +293,61 @@ def _dist_sq_ft_zeros(alpha, s_sine, cut):
         s_sine * max(10.0, 8.0 * alpha / math.pi))) + 1)
     f = dist_sq_ft(alpha, grid)
     i = np.flatnonzero(np.signbit(f[:-1]) != np.signbit(f[1:]))
-    lo, hi, flo, fhi = grid[i], grid[i + 1], f[i], f[i + 1]
-    steps = 20 if i.size else 0
-    for _ in range(steps):
+    lo, hi, flo = grid[i], grid[i + 1], f[i]
+    bisections, newton = (4, 3) if i.size else (0, 0)
+    for _ in range(bisections):
         mid = 0.5 * (lo + hi)
         fmid = dist_sq_ft(alpha, mid)
         left = np.signbit(fmid) == np.signbit(flo)
         lo, flo = np.where(left, mid, lo), np.where(left, fmid, flo)
-        hi, fhi = np.where(left, hi, mid), np.where(left, fhi, fmid)
-    near = lo - flo * (hi - lo) / (fhi - flo)
+        hi = np.where(left, hi, mid)
+    near = 0.5 * (lo + hi)
+    for _ in range(newton):
+        f, slope = _dist_sq_ft_and_slope(alpha, near)
+        step = np.divide(f, slope, out=np.zeros_like(near),
+                         where=slope != 0.0)
+        near = np.clip(near - step, lo, hi)
     far = np.arange(math.ceil(s_sine * alpha / math.pi),
                     math.ceil(cut * alpha / math.pi)) * (math.pi / alpha)
     zeros = np.concatenate([near, far[far < cut]])
-    return zeros, grid.size + steps * i.size
+    return zeros, grid.size + (bisections + newton) * i.size
+
+
+# Above this p, g(alpha) grows like (1 + 2 alpha)^p / sqrt(p), which leaves
+# the floating-point range from p = 296 at alpha = 5, and the peak of
+# |A_alpha|^p at 0 narrows to a small part of the first panel (g's error
+# estimate is 5e-4 relative at alpha = 0 and p = 100).
+# bound_wills_functional bounds g beyond it through g at this p.
+WILLS_G_MAX_P = 100.0
 
 
 def wills_g(params):
-    """g(alpha) = integral over R of |A_alpha(s)|^p ds, A_alpha = dist_sq_ft.
+    """g(alpha) = integral over R of |A_alpha(s)|^p ds, A_alpha = dist_sq_ft,
+    for p <= WILLS_G_MAX_P.
 
     The integrand is even.  The window (0, 2000) is split at the zeros of
     A_alpha and at fixed steps, 2.5 apart up to 25 and geometric (ratio
     below 2) beyond, which grade the stretches where A_alpha does not
     oscillate (alpha = 0, or sin(alpha s) without a zero below 2000).  A step
-    nearer to a zero than to its neighbouring steps is dropped.  Every panel
-    is integrated in one vectorised pass by an 8- and a 16-point
-    Gauss-Jacobi rule whose weight |s - z|^p absorbs |A_alpha|^p's
-    non-analytic behaviour at each end z that is a zero (Legendre where
-    neither end is).
+    nearer to a zero than to its neighbouring steps is dropped.  _panel_sum
+    integrates every panel with an 8- and a 16-point Gauss-Jacobi rule whose
+    weight |s - z|^p absorbs |A_alpha|^p's non-analytic behaviour at each
+    end z that is a zero (Legendre where neither end is).  From 25 on,
+    A_alpha is 2 sin(alpha s)(1 - s I(s))/s up to a Gaussian term below
+    4e-19 of its envelope, so a panel between two zeros is a half period of
+    sin(alpha s): its rule carries |sin|^p in its weights, and only
+    |2 (1 - s I(s))/s|^p is evaluated at its nodes.
 
-    The value is the 16-point sum.  The error estimate is the sum over
-    panels of |16-point - 8-point|, plus the tail beyond the window bounded
-    through |A_alpha(s)| <= 2 _M_SINE_ENVELOPE / s^3.  `evaluations` counts
+    The value and error estimate are _panel_sum's, the estimate plus the
+    tail beyond the window bounded through
+    |A_alpha(s)| <= 2 _M_SINE_ENVELOPE / s^3.  `evaluations` counts
     every point at which A_alpha was evaluated, the zero search included.
     """
     p, alpha = params.p, params.alpha
-    cut, s_sine, n_lo, n_hi = 2000.0, 25.0, 8, 16
+    if p > WILLS_G_MAX_P:
+        raise DomainError(
+            f"g overflows for p > {WILLS_G_MAX_P:g} (got p={p})")
+    cut, s_sine = 2000.0, 25.0
     zeros, evals = _dist_sq_ft_zeros(alpha, s_sine, cut)
     steps = np.union1d(np.linspace(0.0, s_sine, 11),
                        np.geomspace(s_sine, cut, 8))
@@ -240,28 +362,27 @@ def wills_g(params):
             np.abs(steps - zeros[np.minimum(j, zeros.size - 1)]))
         steps = steps[(near >= gap) | (steps == 0.0) | (steps == cut)]
     edges = np.union1d(steps, zeros)
+    lo, hi = edges[:-1], edges[1:]
     at_zero = np.isin(edges, zeros)
     kind = at_zero[:-1] + 2 * at_zero[1:]
-    rules = [_gauss_jacobi_rules(n, p) for n in (n_lo, n_hi)]
-    x = np.hstack([r[0] for r in rules])
-    w = np.hstack([r[1] for r in rules])
+    # from s_sine on, a panel between two zeros is a half period of
+    # sin(alpha s): kind 4 folds |sin(alpha s)|^p into the weights
+    fold = (kind == 3) & (lo >= s_sine)
+    kind[fold] = 4
+
+    def full(s):
+        return np.abs(dist_sq_ft(alpha, s)) ** p
+
+    def envelope(s):
+        return np.abs(2.0 * (1.0 - s * gauss_sine_integral(s)) / s) ** p
+
     value = err = 0.0
-    # 4,096 panels per pass bounds the memory for large alpha
-    for start in range(0, kind.size, 4096):
-        part = slice(start, start + 4096)
-        a, k = edges[:-1][part], kind[part]
-        half = 0.5 * (edges[1:][part] - a)
-        s = (a + half)[:, None] + half[:, None] * x[k]
-        q = half[:, None] * w[k] * np.abs(dist_sq_ft(alpha, s)) ** p
-        q_lo, q_hi = q[:, :n_lo].sum(axis=1), q[:, n_lo:].sum(axis=1)
-        value += q_hi.sum()
-        err += np.abs(q_hi - q_lo).sum()
-        evals += s.size
-    env = 2.0 * _M_SINE_ENVELOPE
-    # integral of (env/s^3)^p beyond the window
-    tail = env ** p * cut ** (1.0 - 3.0 * p) / (3.0 * p - 1.0)
-    return QuadratureResult(float(2.0 * value), float(2.0 * (err + tail)),
-                            evals)
+    for integrand, part in ((full, ~fold), (envelope, fold)):
+        v, dv, n = _panel_sum(integrand, lo[part], hi[part], kind[part], p)
+        value, err, evals = value + v, err + dv, evals + n
+    # integral of (env/s^3)^p beyond the window, env = 2 _M_SINE_ENVELOPE
+    tail = cut * (2.0 * _M_SINE_ENVELOPE / cut ** 3) ** p / (3.0 * p - 1.0)
+    return QuadratureResult(2.0 * value, 2.0 * (err + tail), evals)
 
 
 # 48-point Gauss-Legendre rule on [-1, 1] for _sinc_product_integrals' head

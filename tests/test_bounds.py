@@ -41,8 +41,13 @@ from slicebound import (
 from slicebound import bounds as bounds_module
 from slicebound.bodies import vol_ball_p, vol_simplex_inradius1
 from slicebound.decomp import JohnDecomposition, ProjectedDecomposition
-from slicebound.oracle import exact_volume_smallk
-from slicebound.specfun import QuadratureResult
+from slicebound.oracle import _hull, exact_volume_smallk
+from slicebound.specfun import (
+    WILLS_G_MAX_P,
+    QuadratureResult,
+    WillsIntegrandParams,
+    wills_g,
+)
 
 ALL_NAMES = (
     "symmetric_case1", "symmetric_case1_coarse", "symmetric_case2", "ab_old",
@@ -298,6 +303,37 @@ class TestWillsFunctional:
 
         assert bound_with(2.0, 0.5) == bound_with(2.5, 0.0)
         assert bound_with(2.0, 0.5) > bound_with(2.0, 0.0)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.01, 1e-4])
+    def test_above_wills_g_cap(self, eps):
+        # a plane near a coordinate plane of the one-sided cube has a p_j
+        # beyond WILLS_G_MAX_P (401 at eps = 0.05, 1e8 at 1e-4), where g
+        # itself overflows; W = 1 + perimeter/2 + area of the section
+        H = Subspace(3, np.array([[1.0, 0.0, eps], [0.0, 1.0, 0.0]]))
+        proj = project(cube_decomposition(3, one_sided=True), H)
+        defects = 1.0 - proj.tilde_weights
+        assert np.max(1.0 / defects[defects >= bounds_module.LIMIT_EPS]) \
+            > WILLS_G_MAX_P
+        bound = bound_wills_functional(proj, 1.0)
+        area, ends, _ = _hull(section_polytope(proj))
+        perimeter = np.linalg.norm(ends[:, 1] - ends[:, 0], axis=1).sum()
+        assert math.isfinite(bound)
+        assert bound >= 1.0 + perimeter / 2.0 + area
+
+    def test_below_wills_g_cap_unchanged(self):
+        # with every p_j at most WILLS_G_MAX_P the bound is the plain
+        # product over the factors of g's upper end
+        proj = project(cube_decomposition(4),
+                       Subspace.random(4, 2, np.random.default_rng(6)))
+        assert np.all(1.0 / (1.0 - proj.tilde_weights) <= WILLS_G_MAX_P)
+        log_acc = -(proj.m0 - proj.k) * math.log(2.0 * math.pi)
+        for tc, t in zip(proj.tilde_weights, proj.thresholds):
+            defect = 1.0 - tc
+            g = wills_g(WillsIntegrandParams(alpha=math.sqrt(tc) * t,
+                                             p=1.0 / defect))
+            log_acc += defect * math.log(
+                (g.value + g.abs_error_estimate) / math.sqrt(defect))
+        assert bound_wills_functional(proj, 1.0) == math.exp(log_acc)
 
     def test_one_g_per_distinct_factor(self, monkeypatch):
         # +-e_j of the cube give the same (alpha, p): four distinct from eight
@@ -579,9 +615,9 @@ REGISTRY_REFERENCE = {
         ("symmetric_case1_coarse", 6.25, "all tilde weights >= 1/2", False,
          "8c9eba7b06af040a"),
         ("ab_old", 5.656854249492381, "none", True, "8c9eba7b06af040a"),
-        ("wills_volume", 25.902542187987557, "none", True,
+        ("wills_volume", 25.902542187946178, "none", True,
          "8c9eba7b06af040a"),
-        ("wills_functional", 15.412825391312195, "none", True,
+        ("wills_functional", 15.412825391312627, "none", True,
          "8c9eba7b06af040a"),
         ("mean_width", 4.82842712474619, "none", True, "8c9eba7b06af040a"),
     ],

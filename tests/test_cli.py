@@ -190,6 +190,15 @@ class TestBound:
         with pytest.raises(StructuralError, match="centered"):
             decomp.lift_nonsymmetric(system, F)
 
+    def test_wills_functional_at_large_p(self, capsys, cube3_one_sided):
+        # p_j = 401 here, beyond the Wills factor's quadrature range
+        plane = '{"basis": [[1, 0, 0.05], [0, 1, 0]]}'
+        code, out, _ = run(capsys, "bound", "--input", cube3_one_sided,
+                           "--subspace", plane, "--bounds", "wills_functional")
+        assert code == 0
+        value = json.loads(out)["entries"][0]["value"]
+        assert math.isfinite(value) and value > 0
+
     def test_unknown_bound_exit1(self, capsys, cube3):
         code, _, err = run(capsys, "bound", "--input", cube3,
                            "--subspace", '{"coordinate": [0]}',

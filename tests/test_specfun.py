@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import special
+from scipy import integrate, special
 
 from slicebound.bodies import KpBall, cube_decomposition
 from slicebound.bounds import bound_kp_lower
@@ -12,9 +12,15 @@ from slicebound.decomp import Subspace
 from slicebound.errors import DomainError
 from slicebound.specfun import (
     SINC_POWER_MAX_P,
+    WILLS_G_MAX_P,
     QuadratureResult,
     WillsIntegrandParams,
+    _JACOBI_MAX_P,
     _M_SINE_ENVELOPE,
+    _dist_sq_ft_and_slope,
+    _dist_sq_ft_zeros,
+    _panel_rules,
+    _panel_sum,
     _sinc_product_integrals,
     ball_integral_bound_check,
     dist_sq_ft,
@@ -25,11 +31,23 @@ from slicebound.specfun import (
     wills_g,
 )
 
-# high-precision references computed independently (30-digit quadrature)
+# I_p = integral of |sin x/x|^p over the line at the double nearest each p:
+# mpmath.quad at 40 digits of 2 (int_0^pi (sin u/u)^p du
+# + pi^-p int_0^pi sin(u)^p zeta(p, 1 + u/pi) du), the head split at
+# sqrt(6/p) 2^i; 55 digits agree to all 30 shown
 REF_SINC_POWER = {
-    2.5: 2.679382291500918,
-    3.0: 2.416888418980815,
-    6.0: 1.7278759594743863,
+    1.0005: "2548.31432615146816392385639242",
+    1.01: "129.160809055410138961503085632",
+    1.1: "14.5827807355430887802641244447",
+    1.5: "4.42557391249314484726487118607",
+    2.5: "2.67938229150091797890415839676",
+    3.0: "2.41688841898081500233764938009",
+    5.7: "1.77045503016722537625788125482",
+    6.0: "1.7278759594743862811544538608",
+    23.0: "0.89936450761096248921490619358",
+    100.0: "0.433509011390947231185372992726",
+    1e3: "0.137273089284398754740704663253",
+    1e4: "0.0434154240273279576222029712919",
 }
 # integral_0^inf prod_{j<8} sinc(x/(2j+1)) dx / pi (Borwein)
 BORWEIN_15 = Fraction(467807924713440738696537864469,
@@ -113,9 +131,19 @@ class TestSincPowerIntegral:
     @pytest.mark.parametrize("p", sorted(REF_SINC_POWER))
     def test_reference_values(self, p):
         res = sinc_power_integral(p)
-        assert res.value == pytest.approx(REF_SINC_POWER[p], abs=1e-10)
+        ref = float(REF_SINC_POWER[p])
+        assert res.value == pytest.approx(ref, rel=1e-12)
+        assert abs(res.value - ref) <= res.abs_error_estimate
         assert res.abs_error_estimate < 1e-8
         assert res.evaluations > 0
+
+    def test_no_adaptive_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrate.quad called")
+
+        monkeypatch.setattr(integrate, "quad", refuse)
+        assert sinc_power_integral(2.0).value == pytest.approx(math.pi,
+                                                               rel=1e-15)
 
     def test_divergent_domain(self):
         with pytest.raises(DomainError):
@@ -267,6 +295,102 @@ class TestWillsG:
         with pytest.raises(DomainError):
             WillsIntegrandParams(alpha=-0.1, p=2.0)
 
+    def test_domain_cap(self):
+        # beyond the cap g leaves the floating-point range; bounds take over
+        res = wills_g(WillsIntegrandParams(alpha=1.0, p=WILLS_G_MAX_P))
+        assert math.isfinite(res.value + res.abs_error_estimate)
+        for p in (WILLS_G_MAX_P * (1.0 + 1e-12), 401.0):
+            with pytest.raises(DomainError):
+                wills_g(WillsIntegrandParams(alpha=1.0, p=p))
+
+    def test_rules_built_once_per_p(self):
+        # I_p and g at one p, and g at two alphas, share one rule build
+        p = 2.0 + math.pi / 1e3
+        before = _panel_rules.cache_info()
+        sinc_power_integral(p)
+        for alpha in (0.3, 1.7):
+            wills_g(WillsIntegrandParams(alpha=alpha, p=p))
+        after = _panel_rules.cache_info()
+        assert after.misses - before.misses <= 1
+        assert after.hits - before.hits >= 2
+        x, w = _panel_rules(p)
+        assert _panel_rules(p)[0] is x
+        assert not x.flags.writeable and not w.flags.writeable
+
+
+def bisected_zeros(alpha, s_max, steps=60):
+    """Zeros of dist_sq_ft(alpha, .) on (0, s_max): sign changes on a grid
+    of 40 points per unit and per pi/alpha, each bisected `steps` times."""
+    grid = np.linspace(0.0, s_max, int(s_max * 40 * max(1.0, alpha)) + 1)
+    f = dist_sq_ft(alpha, grid)
+    zeros = []
+    for i in np.flatnonzero(np.signbit(f[:-1]) != np.signbit(f[1:])):
+        lo, hi, flo = grid[i], grid[i + 1], f[i]
+        for _ in range(steps):
+            mid = 0.5 * (lo + hi)
+            fmid = float(dist_sq_ft(alpha, mid))
+            if math.copysign(1.0, fmid) == math.copysign(1.0, flo):
+                lo, flo = mid, fmid
+            else:
+                hi = mid
+        zeros.append(0.5 * (lo + hi))
+    return np.array(zeros)
+
+
+class TestDistSqFtZeros:
+    """wills_g's zero search: 4 bisections, then 3 Newton steps."""
+
+    ALPHAS = [1e-3, 0.05, 0.5, 1.0 / math.sqrt(2.0), 1.0, 3.0, 10.0]
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_newton_matches_bisection(self, alpha):
+        zeros, evals = _dist_sq_ft_zeros(alpha, 25.0, 2000.0)
+        near = zeros[zeros < 25.0]
+        want = bisected_zeros(alpha, 25.0)
+        assert near.size == want.size
+        assert np.max(np.abs(near - want), initial=0.0) <= 1e-13
+        # beyond 25 the zeros are the multiples of pi/alpha
+        far = zeros[zeros >= 25.0]
+        assert far == pytest.approx(
+            math.pi / alpha * np.round(far * alpha / math.pi), rel=1e-15)
+        assert evals > 0
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_slope_matches_central_difference(self, alpha):
+        z = np.array([0.3, 1.1, 4.7, 9.2, 17.5, 24.9])
+        h = 1e-6
+        value, slope = _dist_sq_ft_and_slope(alpha, z)
+        assert value == pytest.approx(dist_sq_ft(alpha, z), rel=1e-13,
+                                      abs=1e-15)
+        diff = (dist_sq_ft(alpha, z + h) - dist_sq_ft(alpha, z - h)) / (2 * h)
+        assert np.all(np.abs(slope - diff) <= 1e-7 * np.maximum(1.0,
+                                                                np.abs(diff)))
+
+
+class TestPanelRules:
+    @pytest.mark.parametrize("p", [1.0005, 2.5, 77.0, _JACOBI_MAX_P])
+    def test_half_period_of_sine(self, p):
+        # kind 4 carries sin^p in its weights: int_0^pi sin(u)^p du in
+        # closed form, and the same as kind 3 applied to sin^p
+        exact = math.sqrt(math.pi) * math.exp(
+            math.lgamma((p + 1.0) / 2.0) - math.lgamma(p / 2.0 + 1.0))
+        lo, hi = np.array([0.0]), np.array([math.pi])
+        folded = _panel_sum(np.ones_like, lo, hi, np.array([4]), p)
+        assert folded[0] == pytest.approx(exact, rel=1e-13)
+        assert abs(folded[0] - exact) <= folded[1]
+        plain = _panel_sum(lambda u: np.sin(u) ** p, lo, hi, np.array([3]), p)
+        assert plain[0] == pytest.approx(exact, rel=1e-12)
+
+    def test_legendre_above_jacobi_range(self):
+        # roots_jacobi overflows near p = 511: above _JACOBI_MAX_P the zero
+        # ends take the Legendre rule, with no warning
+        x, w = _panel_rules(2.0 * _JACOBI_MAX_P)
+        assert np.all(np.isfinite(w))
+        assert x[1:4] == pytest.approx(np.broadcast_to(x[0], (3, 24)),
+                                       abs=1e-15)
+        assert w[1:4] == pytest.approx(np.broadcast_to(w[0], (3, 24)),
+                                       rel=1e-14)
+
 
 class TestSineEnvelope:
     """_M_SINE_ENVELOPE bounds |1 - s I(s)| s^2 beyond wills_g's window."""
@@ -415,7 +539,7 @@ class TestQuadratureSettings:
     def test_pinned_values(self):
         # exact: these values pin each quadrature's tolerances and limits
         assert sinc_power_integral(3.0) == QuadratureResult(
-            2.416888418980815, 2.683285170702393e-14, 42)
+            2.416888418980814, 1.8193042496369672e-14, 96)
         assert gamma_p(1.5, 2.0) == 0.531178117900647
         # wills_g uses fixed rules, checked against its reference table
         assert wills_g(WillsIntegrandParams(alpha=0.5, p=3.0)).value == \
