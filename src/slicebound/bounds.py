@@ -34,6 +34,8 @@ _KP_HEAD_NODES = 12     # Gauss-Jacobi nodes on [0, 1/max s_j]
 _KP_PANEL_NODES = 12    # Gauss-Legendre nodes per tail panel
 _KP_PANEL_WIDTH = 2.0   # tail panel width in log t
 _KP_TAIL_RTOL = 1e-13   # stop at a panel adding at most this share
+# the tail panels' Gauss-Legendre rule on [-1, 1]
+_KP_PANEL_RULE = np.polynomial.legendre.leggauss(_KP_PANEL_NODES)
 
 
 # ---------------------------------------------------------------------------
@@ -224,35 +226,47 @@ def bound_kp_upper(ball, H):
     return vol_ball_p(proj.k, p) * math.exp(log_prod)
 
 
+@functools.lru_cache(maxsize=16)
+def _kp_head_rule(beta):
+    """_KP_HEAD_NODES-node Gauss-Jacobi rule on [-1, 1] with weight
+    (1 + x)^(beta - 1), cached per beta and read-only."""
+    x, w = special.roots_jacobi(_KP_HEAD_NODES, 0.0, beta - 1.0)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _kp_lower_integral(p, beta, s):
     """integral_0^inf t^(beta-1) prod_j gamma_p(sqrt(t s_j)) dt, all s_j > 0.
 
     Head: Gauss-Jacobi with weight t^(beta-1) on [0, 1/max s_j], where the
     product is entire in t.  Tail: fixed-width Gauss-Legendre panels in
     u = log t (each factor is a translate of gamma_p(e^(u/2))) until a panel
-    adds at most _KP_TAIL_RTOL of the sum.  With a factors the tail decays
-    at rate a(1+p)/2 - beta in u; at most k-1 of the tc_j are 1, so that is
-    at least (p(m0-k+1)+1)/2 > 0.  A walk that never stopped would end in
-    math.exp's OverflowError."""
+    adds at most _KP_TAIL_RTOL of the sum.  The head and each panel take
+    one gamma_p call on their (nodes, factors) array.  With a factors the
+    tail decays at rate a(1+p)/2 - beta in u; at most k-1 of the tc_j are
+    1, so that is at least (p(m0-k+1)+1)/2 > 0.  A walk that never stopped
+    would end in a FloatingPointError from an overflowing exp."""
+    s = np.asarray(s, dtype=float)
 
     def prod(t):
-        return math.prod(gamma_p(p, math.sqrt(t * sj)) for sj in s)
+        return np.prod(gamma_p(p, np.sqrt(np.multiply.outer(t, s))), axis=1)
 
-    t_head = 1.0 / max(s)
-    x, w = special.roots_jacobi(_KP_HEAD_NODES, 0.0, beta - 1.0)
-    total = (t_head / 2.0) ** beta * sum(
-        wi * prod(t_head * (1.0 + xi) / 2.0) for xi, wi in zip(x, w))
-    x, w = np.polynomial.legendre.leggauss(_KP_PANEL_NODES)
+    t_head = 1.0 / s.max()
+    x, w = _kp_head_rule(beta)
+    total = (t_head / 2.0) ** beta * float(
+        w @ prod(t_head * (1.0 + x) / 2.0))
+    x, w = _KP_PANEL_RULE
     half = _KP_PANEL_WIDTH / 2.0
     u0 = math.log(t_head)
-    while True:
-        panel = half * sum(
-            wi * math.exp(beta * u) * prod(math.exp(u))
-            for u, wi in zip(u0 + half * (1.0 + x), w))
-        total += panel
-        if panel <= _KP_TAIL_RTOL * total:
-            return total
-        u0 += _KP_PANEL_WIDTH
+    with np.errstate(over="raise"):
+        while True:
+            u = u0 + half * (1.0 + x)
+            panel = half * float(w @ (np.exp(beta * u) * prod(np.exp(u))))
+            total += panel
+            if panel <= _KP_TAIL_RTOL * total:
+                return total
+            u0 += _KP_PANEL_WIDTH
 
 
 def bound_kp_lower(ball, H):
@@ -261,12 +275,14 @@ def bound_kp_lower(ball, H):
     Integrates t^(beta-1) * prod_j gamma_p(sqrt(t s_j)) over t > 0 with
     beta = (m0-k)/2 and s_j = (c_j / alpha_j^(2/p)) (1 - tc_j); indices with
     tc_j = 1 (s_j < LIMIT_EPS) contribute the constant gamma_p(0).  The
-    outer integral is one fixed rule (_kp_lower_integral), with gamma_p's
-    own quadrature at each node.  The integrand is positive (gamma_p is 2 pi
+    outer integral is one fixed rule (_kp_lower_integral), whose nodes take
+    one gamma_p call per panel.  The integrand is positive (gamma_p is 2 pi
     times a symmetric p-stable density), so cutting the tail only lowers
     the value; neither the rule's nor gamma_p's error is subtracted.
-    Raises DegenerateRegimeError when m0 = k, or when no s_j reaches
-    LIMIT_EPS (a constant times t^(beta-1) has no finite integral)."""
+    It takes gamma_p's domain, p = 1 or 1.02 <= p <= 2: for 1 < p < 1.02 it
+    raises DomainError.  Raises DegenerateRegimeError when m0 = k, or when
+    no s_j reaches LIMIT_EPS (a constant times t^(beta-1) has no finite
+    integral)."""
     proj, alphas = _ball_projection(ball, H)
     m0, k = proj.m0, proj.k
     p = ball.p

@@ -8,11 +8,12 @@ Wills factor wills_g share one fixed-rule panel integrator, _panel_sum: an
 whose nodes and weights _panel_rules builds once per exponent p.  The
 sine-product integrals use a fixed Gauss-Legendre head and an exact Si/Ci
 tail, evaluated for a batch of rows at once by _sinc_product_integrals,
-whose one caller is the Parseval oracle.  Only gamma_p still calls
-scipy.integrate.quad (adaptive Gauss-Kronrod with a cosine weight).
-Truncated tails are summed exactly (the Hurwitz zeta function for sinc
-powers, Si/Ci for sine products) or bounded analytically and folded into
-the error estimate.
+whose one caller is the Parseval oracle.  gamma_p takes a power series,
+Zolotarev's integral on fixed Gauss-Legendre panels or an asymptotic
+series, chosen by p and y alone, for a whole array at once.  Nothing here
+calls an adaptive quadrature.  Truncated tails are summed exactly (the
+Hurwitz zeta function for sinc powers, Si/Ci for sine products) or bounded
+analytically and folded into the error estimate.
 """
 
 import functools
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from .errors import DomainError, GateError
 
@@ -107,28 +108,179 @@ def ball_integral_bound_check(p):
     return lhs, rhs, lhs <= rhs + 1e-9
 
 
-def gamma_p(p, y):
-    """Fourier transform of exp(-|x|^p) at y, for p in [1, 2]; real-valued.
+# gamma_p's domain below p = 2 (p = 1 has its closed form), where the
+# tests and the 30-digit references stop.  Toward p = 1 the Zolotarev
+# integrand's peak narrows like p - 1 and the rounding of its exponent
+# grows like p/(p - 1), which is 51 here.
+_GAMMA_P_MIN_P = 1.02
+# terms of each of gamma_p's two series: Gamma(1 + (2k+1)/p) and
+# Gamma(pk + 1) stay finite for k <= 64 and p in [_GAMMA_P_MIN_P, 2]
+_SERIES_TERMS = 64
+# A series is used only where its first omitted term is at most this share
+# of the value (the leading term, for the asymptotic series), so that the
+# truncation stays below the value's last bit ...
+_SERIES_TOL = 2.0 ** -56
+# ... and, for the power series, where the sum of its terms' magnitudes is
+# at most this multiple of the value, which bounds the cancellation.  Its
+# limit is the largest multiple of _SERIES_Y_STEP that passes both tests.
+_SERIES_CANCEL = 4.0
+_SERIES_Y_STEP = 1.0 / 32.0
+# Zolotarev's integral is taken in tau = log cot(theta).  Its log integrand
+# G is tabulated on this tau grid (ends and step), where the tables invert
+# it for the panel edges; at the grid's ends the integrand is below 1e-44 of
+# its peak at every p and y of the middle branch.
+_ZOL_TAU = (-60.0, 20.0, 1.0 / 16.0)
+# Panel edges around the peak w = 0 of z e^-z, z = e^w: levels of w + tau
+# below it, where the integrand falls like exp(w + tau); levels of w above
+# it, where it falls like exp(-e^w), the last one ending the range; and
+# between the peak and that end, pieces at most _ZOL_TAU_WIDTH long in tau,
+# which resolve the plateau of w that forms as p nears 2.
+_ZOL_BELOW = (-44.0, -26.0, -13.0, -4.5)
+_ZOL_ABOVE = (1.5, 3.0, 4.5)
+_ZOL_TAU_WIDTH = 2.5
 
-    Closed forms at p = 1, at p = 2 and at y = 0 (2 Gamma(1 + 1/p));
-    otherwise one cosine-weighted quadrature over [0, cutoff]."""
-    if not 1.0 <= p <= 2.0:
-        raise DomainError(f"supported range is 1 <= p <= 2, got p={p}")
+
+def _zolotarev_log(p, tau):
+    """Zolotarev's integrand at tau = log cot(theta) in log form: G with
+    log z = p/(p-1) log y + G, and log(sin theta cos theta) = log |d theta /
+    d tau|.  theta and phi = pi/2 - theta come from the arctangent of
+    exp(-|tau|) and its complement, so that neither end loses digits, and
+    sin(p theta) and cos((p-1) theta) are taken at arguments below pi/2."""
+    a = p / (p - 1.0)
+    e = np.exp(-np.abs(tau))
+    near = np.arctan(e)                     # the smaller of theta and phi
+    theta = np.where(tau >= 0.0, near, 0.5 * math.pi - near)
+    phi = np.where(tau >= 0.0, 0.5 * math.pi - near, near)
+    log1p = np.log1p(e * e)
+    log_cos = np.minimum(tau, 0.0) - 0.5 * log1p
+    rest = 0.5 * math.pi * (2.0 - p)         # pi - p pi/2
+    sin_p = np.sin(np.where(p * theta <= 0.5 * math.pi, p * theta,
+                            rest + p * phi))
+    cos_p1 = np.sin(rest + (p - 1.0) * phi)
+    g = (a - 1.0) * log_cos - a * np.log(sin_p) + np.log(cos_p1)
+    return g, -np.abs(tau) - log1p
+
+
+@functools.lru_cache(maxsize=64)
+def _gamma_p_rules(p):
+    """gamma_p's data for one p in [_GAMMA_P_MIN_P, 2), cached per p and
+    read-only: (y_series, y_asym, coef, tables).  The power series serves
+    y <= y_series and the asymptotic series y >= y_asym, with coefficients
+    in rows 0 (powers of y^2) and 1 (powers of y^-p) of coef.  tables is
+    _zolotarev's (tau, G(tau), G(tau) + tau, pieces above the peak)."""
+    k = np.arange(_SERIES_TERMS + 1)
+    # power series: term k is (-1)^k c_k y^2k
+    c = 2.0 * special.gamma(1.0 + (2 * k + 1) / p) / special.factorial(
+        2 * k + 1)
+    y = _SERIES_Y_STEP * np.arange(1, 129)
+    size = c * (y * y)[:, None] ** k
+    value = size[:, :-1] @ (-1.0) ** k[:-1]
+    good = ((size[:, :-1].sum(axis=1) <= _SERIES_CANCEL * value)
+            & (size[:, -1] <= _SERIES_TOL * value))
+    bad = np.flatnonzero(~good)
+    y_series = float(y[(bad[0] if bad.size else y.size) - 1])
+    # asymptotic series: term j is (2/y) b_j y^-pj, |b_j| <= m_j; it keeps
+    # the terms before the one that reaches _SERIES_TOL |b_1| y^-p at the
+    # smallest y
+    j = k[1:]
+    m = special.gamma(p * j + 1.0) / special.factorial(j)
+    # sin(pi p j/2) from p j/2 mod 2 folded exactly into [-1/2, 1/2], which
+    # keeps it accurate near its zeros, as when p nears 2
+    r = np.remainder(0.5 * p * j, 2.0)
+    r = np.where(r <= 0.5, r, np.where(r <= 1.5, 1.0 - r, r - 2.0))
+    b = (-1.0) ** (j + 1) * m * np.sin(math.pi * r)
+    reach = (m[1:] / (_SERIES_TOL * abs(b[0]))) ** (1.0 / (p * j[:-1]))
+    kept = int(np.argmin(reach)) + 1
+    coef = np.zeros((2, _SERIES_TERMS))
+    coef[0] = (-1.0) ** k[:-1] * c[:-1]
+    coef[1, 1:kept + 1] = b[:kept]
+    lo, hi, step = _ZOL_TAU
+    tau = np.linspace(lo, hi, round((hi - lo) / step) + 1)
+    g = _zolotarev_log(p, tau)[0]
+    shift = p / (p - 1.0) * np.log(
+        np.geomspace(y_series, reach[kept - 1], 33))
+    span = (np.interp(_ZOL_ABOVE[-1] - shift, g, tau)
+            - np.interp(-shift, g, tau))
+    pieces = max(1, math.ceil(span.max() / _ZOL_TAU_WIDTH))
+    xi = g + tau
+    for table in (coef, tau, g, xi):
+        table.setflags(write=False)
+    return y_series, float(reach[kept - 1]), coef, (tau, g, xi, pieces)
+
+
+def _series(coef, v):
+    """sum_k coef[:, k] v^k for each row, by Estrin's scheme: each level
+    folds pairs of coefficients into one and squares v."""
+    while coef.shape[1] > 1:
+        coef = coef[:, 0::2] + coef[:, 1::2] * v[:, None]
+        v = v * v
+    return coef[:, 0]
+
+
+def _zolotarev(p, tables, y):
+    """gamma_p by Zolotarev's integral, for y > 0 (see gamma_p)."""
+    tau, g, xi, pieces = tables
+    a = p / (p - 1.0)
+    shift = a * np.log(y)
+    peak = np.interp(-shift, g, tau)
+    above = np.interp(np.add.outer(-shift, _ZOL_ABOVE), g, tau)
+    below = np.interp(np.add.outer(peak - shift, _ZOL_BELOW), xi, tau)
+    between = np.multiply.outer(above[:, -1] - peak,
+                                np.arange(1, pieces) / pieces)
+    edges = np.sort(np.hstack(
+        [below, peak[:, None], above, peak[:, None] + between]), axis=1)
+    x, w = _LEGENDRE[16]
+    half = 0.5 * np.diff(edges, axis=1)[..., None]
+    g, jac = _zolotarev_log(p, edges[:, :-1, None] + half * (1.0 + x))
+    log_z = shift[:, None, None] + g
+    q = half * w * np.exp(log_z - np.exp(log_z) + jac)
+    return 2.0 * a / y * q.reshape(len(y), -1).sum(axis=1)
+
+
+def gamma_p(p, y):
+    """Fourier transform of exp(-|x|^p) at y: 2 int_0^inf exp(-x^p)
+    cos(x y) dx, for p = 1 and p in [_GAMMA_P_MIN_P, 2]; y a scalar (the
+    result is a float) or an array (an array of its shape).
+
+    Closed forms at p = 1 and p = 2.  Between them gamma_p = 2 pi f_p, with
+    f_p the symmetric p-stable density, and |y| takes one of three branches
+    chosen from p and y alone (_gamma_p_rules):
+    - y <= y_series: the power series sum_k (-1)^k c_k y^2k, with
+      c_k = 2 Gamma(1 + (2k+1)/p)/(2k+1)!, which is entire for p > 1;
+    - y >= y_asym: the asymptotic series (2/y) sum_j (-1)^(j+1)
+      Gamma(pj + 1)/j! sin(pi p j/2) y^-pj;
+    - between them, Zolotarev's integral (Nolan 1997)
+      gamma_p = 2 a/y int_0^pi/2 z e^-z d theta, a = p/(p-1), with
+      z = (y cos theta/sin(p theta))^a cos((p-1) theta)/cos theta, on 16-point
+      Gauss-Legendre panels in tau = log cot(theta) graded around the peak
+      z = 1.
+    Both series sum _SERIES_TERMS coefficients at most, by Estrin's scheme;
+    no branch calls an adaptive quadrature, and the value at each y is the
+    same whatever else the array holds."""
+    if p != 1.0 and not _GAMMA_P_MIN_P <= p <= 2.0:
+        raise DomainError(f"supported p are 1 and {_GAMMA_P_MIN_P} <= p <= 2,"
+                          f" got p={p}")
+    y = np.abs(np.asarray(y, dtype=float))
     if p == 1.0:
-        return 2.0 / (1.0 + y * y)
-    if p == 2.0:
-        return math.sqrt(math.pi) * math.exp(-y * y / 4.0)
-    y = float(y)
-    if y == 0.0:
-        return 2.0 * math.gamma(1.0 + 1.0 / p)
-    cutoff = (36.8) ** (1.0 / p)  # exp(-x^p) < 1e-16 beyond
-    # at the default epsrel QUADPACK accepts a 15-point estimate at isolated
-    # y that is off by up to 6.4e-7 relative
-    val, _ = integrate.quad(
-        lambda x: math.exp(-x ** p), 0.0, cutoff,
-        weight="cos", wvar=y, epsabs=1e-11, epsrel=1e-10, limit=400,
-    )
-    return 2.0 * val
+        out = 2.0 / (1.0 + y * y)
+    elif p == 2.0:
+        out = math.sqrt(math.pi) * np.exp(-y * y / 4.0)
+    else:
+        y_series, y_asym, coef, tables = _gamma_p_rules(p)
+        flat = y.ravel()
+        out = np.empty_like(flat)
+        power = flat <= y_series
+        asym = flat >= y_asym
+        v = np.empty_like(flat)
+        v[power] = flat[power] ** 2
+        v[asym] = flat[asym] ** -p
+        series = power | asym
+        out[series] = _series(coef[asym[series].astype(int)], v[series])
+        out[asym] *= 2.0 / flat[asym]
+        if not series.all():
+            out[~series] = _zolotarev(p, tables, flat[~series])
+        out = out.reshape(y.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def indicator_ft(c, t):

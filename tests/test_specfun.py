@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,10 +16,12 @@ from slicebound.specfun import (
     WILLS_G_MAX_P,
     QuadratureResult,
     WillsIntegrandParams,
+    _GAMMA_P_MIN_P,
     _JACOBI_MAX_P,
     _M_SINE_ENVELOPE,
     _dist_sq_ft_and_slope,
     _dist_sq_ft_zeros,
+    _gamma_p_rules,
     _panel_rules,
     _panel_sum,
     _sinc_product_integrals,
@@ -83,6 +86,36 @@ REF_GAMMA = {
     (1.7607796427407365, 0.4451155489225671): 1.68144143815368956225886648688,
     (1.0477560913123793, 2.413462277120117): 0.29921958803917894497944015896,
 }
+# gamma_p beyond REF_GAMMA's y = 20, out to where kp_lower's tail panels
+# reach, and at the lowest supported p: 2 Re int_0^inf exp(-x^p + i x y) dx
+# by mpmath.quad at 40 digits on the ray x = r exp(i pi/(4p)), where the
+# integrand decays without oscillating.  The power series (y <= 1, and
+# p = 1.95 at y <= 8) or the asymptotic series at 60 digits agree to 1e-45.
+REF_GAMMA_WIDE = {
+    (1.02, 0.5): "1.60554220104284047152716133002",
+    (1.02, 1.0): "1.01552586181862016583597121858",
+    (1.02, 1.5): "0.625754776888423092023612020667",
+    (1.02, 3.0): "0.200625892101519182333925325872",
+    (1.02, 50.0): "0.000746422621351073101936965090899",
+    (1.02, 125.0): "0.000117210069285324915665827512133",
+    (1.02, 400.0): "0.000011180017635935647399012456168",
+    (1.1, 50.0): "0.000561781879100365663991680899806",
+    (1.1, 125.0): "0.000081777695017305630777129473691",
+    (1.1, 400.0): "0.0000071002280561665923175693560202",
+    (1.35, 50.0): "0.000210614150739573408786324146814",
+    (1.35, 125.0): "0.0000242942012738351214630642681756",
+    (1.35, 400.0): "0.00000157572919480223636348884080263",
+    (1.65, 50.0): "0.0000492166050682361778950518036137",
+    (1.65, 125.0): "0.00000431372705987093574635802100233",
+    (1.65, 400.0): "0.000000197492815953211165119567157758",
+    (1.95, 3.0): "0.187397919193841530866353599086",
+    (1.95, 8.0): "0.000810960035658685084414935120516",
+    (1.95, 50.0): "0.00000293228417765226468252616007818",
+    (1.95, 125.0): "0.000000195604271837291510028025717915",
+    (1.95, 400.0): "0.00000000632184156143297370797984852588",
+    # sin(pi p/2) is 0.047 here, and taken unfolded it is 5e-15 off
+    (1.97, 125.0): "0.000000108576119695187529772973428689",
+}
 REF_DIST_SQ_FT = {
     (0.7, 1.3): 1.4522114306871429,
     (2.0, 0.4): 4.1841073933215147,
@@ -144,6 +177,14 @@ class TestSincPowerIntegral:
         monkeypatch.setattr(integrate, "quad", refuse)
         assert sinc_power_integral(2.0).value == pytest.approx(math.pi,
                                                                rel=1e-15)
+        # every branch of gamma_p, and the l_p lower bound built on it
+        y = np.r_[0.0, np.geomspace(1e-3, 1e4, 200)]
+        for p in (1.02, 1.3, 1.5, 1.7, 1.98):
+            assert np.all(gamma_p(p, y) > 0.0)
+        ball = KpBall(cube_decomposition(4, one_sided=True), 1.37,
+                      np.ones(4))
+        H = Subspace.random(4, 2, np.random.default_rng(3))
+        assert 0.0 < bound_kp_lower(ball, H) < math.inf
 
     def test_divergent_domain(self):
         with pytest.raises(DomainError):
@@ -193,7 +234,7 @@ class TestGammaP:
 
     @pytest.mark.parametrize("p, y", sorted(REF_GAMMA))
     def test_reference(self, p, y):
-        # abs 2e-11: the quadrature's own target
+        # abs 2e-11: what the QUADPACK reference in test_bounds.py meets
         assert gamma_p(p, y) == pytest.approx(REF_GAMMA[p, y], abs=2e-11)
 
     @pytest.mark.parametrize("p", [1.1, 1.3, 1.5, 1.65])
@@ -208,6 +249,75 @@ class TestGammaP:
     def test_domain(self):
         with pytest.raises(DomainError):
             gamma_p(2.5, 0.0)
+
+    @pytest.mark.parametrize("p", [1.0001, 1.01, _GAMMA_P_MIN_P - 1e-9])
+    def test_below_min_p_raises(self, p):
+        # between the closed form at p = 1 and _GAMMA_P_MIN_P gamma_p fails
+        # loudly, and so does the l_p lower bound that needs it
+        assert _GAMMA_P_MIN_P == 1.02
+        with pytest.raises(DomainError, match="1.02"):
+            gamma_p(p, 1.0)
+        ball = KpBall(cube_decomposition(3, one_sided=True), p, np.ones(3))
+        with pytest.raises(DomainError):
+            bound_kp_lower(ball, Subspace(3, np.array([[1.0, 1.0, 0.0]])))
+
+    @pytest.mark.parametrize("p, y", sorted(REF_GAMMA_WIDE))
+    def test_reference_wide(self, p, y):
+        ref = float(REF_GAMMA_WIDE[p, y])
+        assert abs(gamma_p(p, y) - ref) <= max(2e-11, 1e-10 * abs(ref))
+        # every branch keeps a few ulps, which kp_lower's pins rely on
+        assert gamma_p(p, y) == pytest.approx(ref, rel=3e-15, abs=0.0)
+
+    def test_references_meet_every_branch(self):
+        # the references check each branch: the power series, Zolotarev's
+        # integral and the asymptotic series, at p = 1.02 alone too
+        def branch(p, y):
+            y_series, y_asym = _gamma_p_rules(p)[:2]
+            return 0 if y <= y_series else 2 if y >= y_asym else 1
+
+        refs = sorted(REF_GAMMA) + sorted(REF_GAMMA_WIDE)
+        assert {branch(p, y) for p, y in refs} == {0, 1, 2}
+        assert {branch(p, y) for p, y in refs if p == 1.02} == {0, 1, 2}
+
+    def test_array_matches_scalar(self):
+        rng = np.random.default_rng(7)
+        for p in (1.02, 1.3, 1.5, 1.77, 1.98, 2.0):
+            y = np.concatenate([rng.uniform(0.0, 20.0, 119),
+                                np.geomspace(1e-3, 1e4, 60), [0.0]])
+            got = gamma_p(p, y.reshape(12, 15))
+            assert got.shape == (12, 15)
+            want = np.array([gamma_p(p, v) for v in y]).reshape(12, 15)
+            assert np.array_equal(got, want)
+            assert isinstance(gamma_p(p, 1.0), float)
+
+    @pytest.mark.parametrize("p", np.linspace(1.02, 1.98, 17).tolist())
+    def test_continuous_at_branch_limits(self, p):
+        # the step across each limit, less the function's own change there
+        # (a secant a million times wider), is a few ulps: the two branches
+        # agree where they meet
+        limits = _gamma_p_rules(p)[:2]
+        assert limits[0] < limits[1]
+        for limit in limits:
+            near = gamma_p(p, limit * np.array([1.0 - 1e-12, 1.0 + 1e-12]))
+            wide = gamma_p(p, limit * np.array([1.0 - 1e-6, 1.0 + 1e-6]))
+            step = (near[1] - near[0]) - 1e-6 * (wide[1] - wide[0])
+            assert abs(step) <= 1e-14 * near[0]
+
+    @pytest.mark.parametrize("p", [1.02, 1.2, 1.45, 1.7, 1.85, 1.98])
+    def test_positive_and_decreasing(self, p):
+        # gamma_p is 2 pi times a symmetric stable density, which is
+        # unimodal: positive and non-increasing on y >= 0
+        y = np.r_[np.linspace(0.0, 200.0, 4001), np.geomspace(201.0, 1e4, 400)]
+        g = gamma_p(p, y)
+        assert np.all(g > 0.0)
+        assert np.all(np.diff(g) <= 0.0)
+
+    def test_no_runtime_warning(self):
+        y = np.r_[0.0, np.geomspace(1e-8, 1e4, 301), np.linspace(0.0, 30, 301)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for p in np.linspace(1.02, 1.98, 49):
+                assert np.all(np.isfinite(gamma_p(p, y)))
 
 
 class TestFourierTransforms:
@@ -540,7 +650,7 @@ class TestQuadratureSettings:
         # exact: these values pin each quadrature's tolerances and limits
         assert sinc_power_integral(3.0) == QuadratureResult(
             2.416888418980814, 1.8193042496369672e-14, 96)
-        assert gamma_p(1.5, 2.0) == 0.531178117900647
+        assert gamma_p(1.5, 2.0) == 0.5311781179006467
         # wills_g uses fixed rules, checked against its reference table
         assert wills_g(WillsIntegrandParams(alpha=0.5, p=3.0)).value == \
             pytest.approx(float(REF_WILLS_G[0.5, 3.0]), rel=1e-10)
@@ -548,3 +658,5 @@ class TestQuadratureSettings:
                       np.ones(3))
         H = Subspace(3, np.array([[1.0, 1.0, 0.0]]))
         assert bound_kp_lower(ball, H) == 1.7817974362806737
+        # the exact section length is 2^(5/6) (TestKpBounds)
+        assert abs(bound_kp_lower(ball, H) - 2.0 ** (5.0 / 6.0)) <= 1e-14
