@@ -1,8 +1,8 @@
 """Hot numeric kernels: polytope membership counting, exact point-to-polytope
 distances for k <= 3, and Dykstra projections for higher k, vectorized over
-the points with numpy.  Membership is counted constraint-major, one row of N
-dots per constraint: numpy ANDs long rows elementwise several times faster
-than it reduces an (N, m) array along its short last axis."""
+the points with numpy.  Membership and exact distances run constraint-major,
+on rows of N dots, one per constraint: numpy runs long rows elementwise
+several times faster than it reduces an (N, m) array along its short axis."""
 
 import numpy as np
 
@@ -21,25 +21,30 @@ def exact_distances(points, normals, offsets, segments):
     # Distances to {x : <a_c, x> <= b_c for all c} in closed form for k <= 3;
     # normals must be unit vectors, and the segments (E, 2, k) must cover
     # the edges (for k = 1, the interval).  Inside points get exactly 0.
-    # The largest violation is a lower bound, and the distance itself when
-    # its foot on that facet is feasible, as it is whenever the nearest point
-    # lies inside a facet; the other points take the nearest point of a
-    # segment, in blocks of at most len(points) point-segment pairs.
-    excess = points @ normals.T - offsets
-    worst = excess.argmax(axis=1)
-    dist = np.maximum(excess[np.arange(len(points)), worst], 0.0)
+    # A running max over the rows of excesses gives the largest violation, a
+    # lower bound, and the first row that attains it; the violation is the
+    # distance when its foot on that row is feasible, as it is whenever the
+    # nearest point lies inside a facet.  The other points take a running min
+    # over the segments of the distance to their nearest point.
+    excess = normals @ points.T
+    excess -= offsets[:, None]
+    dist, worst = np.zeros(len(points)), np.zeros(len(points), dtype=np.intp)
+    for c in range(len(excess)):
+        np.maximum(worst, (excess[c] > dist) * c, out=worst)  # worst <= c
+        np.maximum(dist, excess[c], out=dist)
+    del excess                 # before the (m, P) excesses of the feet
     out = np.flatnonzero(dist > 0.0)
-    foot = points[out] - dist[out, None] * normals[worst[out]]
-    rest = out[(foot @ normals.T - offsets).max(axis=1) > 1e-13]
-    a, ab = segments[:, 0], segments[:, 1] - segments[:, 0]
-    block = max(1, len(points) // len(segments))
-    for start in range(0, len(rest), block):
-        idx = rest[start:start + block]
-        rel = [points[idx, i, None] - a[:, i] for i in range(a.shape[1])]
-        t = np.clip(sum(r * e for r, e in zip(rel, ab.T))
-                    / (ab * ab).sum(axis=1), 0.0, 1.0)
-        d2 = sum((r - t * e) ** 2 for r, e in zip(rel, ab.T)).min(axis=1)
-        dist[idx] = np.maximum(dist[idx], np.sqrt(d2))
+    foot = np.take(points, out, axis=0)     # faster than points[out]
+    foot -= dist[out, None] * np.take(normals, worst[out], axis=0)
+    rest = out[(normals @ foot.T - offsets[:, None]).max(axis=0) > 1e-13]
+    rows = np.take(points, rest, axis=0).T.copy()
+    d2 = np.full(len(rest), np.inf)
+    for a, b in segments:
+        ab = b - a
+        rel = rows - a[:, None]
+        t = np.clip(ab @ rel / (ab @ ab), 0.0, 1.0)
+        np.minimum(d2, ((rel - t * ab[:, None]) ** 2).sum(axis=0), out=d2)
+    dist[rest] = np.maximum(dist[rest], np.sqrt(d2))
     return dist
 
 

@@ -18,6 +18,7 @@ from .bodies import vol_ball_p, vol_simplex_inradius1
 from .decomp import project
 from .errors import DegenerateRegimeError, GateError, StructuralError
 from .specfun import (
+    _GAMMA_P_MIN_P,
     SINC_POWER_MAX_P,
     WILLS_G_MAX_P,
     WillsIntegrandParams,
@@ -397,10 +398,10 @@ def _is_l1(bh):
     return bh[0].p == 1.0
 
 
-def _m0_above_k(bh):
-    # the lower bounds' regime; they raise DegenerateRegimeError at m0 = k
+def _lower_regime(bh):
+    # where the lower bounds, and the gamma_p inside kp_lower, do not raise
     proj, _ = _ball_projection(*bh)
-    return proj.m0 > proj.k
+    return (bh[0].p == 1.0 or bh[0].p >= _GAMMA_P_MIN_P) and proj.m0 > proj.k
 
 
 _REGISTRY = {
@@ -430,10 +431,10 @@ _REGISTRY = {
         in_all=_is_l1),
     "k1_lower": _Bound(
         "ball", lambda bh, force: bound_k1_lower(*bh),
-        in_all=lambda bh: _is_l1(bh) and _m0_above_k(bh)),
+        in_all=lambda bh: _is_l1(bh) and _lower_regime(bh)),
     "kp_upper": _Bound("ball", lambda bh, force: bound_kp_upper(*bh)),
     "kp_lower": _Bound("ball", lambda bh, force: bound_kp_lower(*bh),
-                       in_all=_m0_above_k),
+                       in_all=_lower_regime),
     "nonsym_fourier": _Bound(
         "nl", lambda nl, force: bound_nonsym_fourier(nl, force),
         _kappa_half, "all kappa >= 1/2"),

@@ -15,6 +15,7 @@ oracle.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -292,7 +293,9 @@ _OPTIONS = {
 }
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """Built once: parse_args returns a new namespace on every call."""
     parser = _Parser(
         prog="slicebound",
         description="Volume bounds for sections of convex bodies in John "

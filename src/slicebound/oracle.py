@@ -165,8 +165,9 @@ def _hull(poly):
     """Exact geometry of a bounded section with k <= EXACT_MAX_K: its volume,
     segments (E, 2, k) covering its edges (the interval itself at k = 1),
     and each segment's share of 2 pi in its normal cone: 1 at k = 1, 1/2 at
-    k = 2, the exterior angle over 2 pi at k = 3.  Flat or empty sections
-    raise DegenerateRegimeError."""
+    k = 2, the exterior angle over 2 pi at k = 3.  Qhull starts at the
+    Chebyshev centre, which an LP finds unless the section is symmetric.
+    Flat or empty sections raise DegenerateRegimeError."""
     k = poly.k
     if k > EXACT_MAX_K:
         raise StructuralError(f"exact geometry for k <= {EXACT_MAX_K} only")
@@ -181,16 +182,21 @@ def _hull(poly):
         if length <= 2.0 * flat:
             raise DegenerateRegimeError(f"flat interval {ends.ravel()}")
         return length, ends, np.ones(1)
-    # Chebyshev centre: the centre x of the largest ball of radius r inside
+    # Chebyshev centre: the centre x of the largest ball of radius r inside;
+    # a symmetric body holding B(c, r) holds B(-c, r) and so B(0, r)
     scale = np.linalg.norm(normals, axis=1)
-    res = linprog(np.r_[np.zeros(k), -1.0],
-                  A_ub=np.column_stack([normals, scale]), b_ub=offsets,
-                  bounds=[(None, None)] * k + [(0.0, None)])
-    if res.status != 0 or res.x[-1] <= flat:
+    if poly.symmetric:
+        x = np.r_[np.zeros(k), np.min(offsets / scale)]
+    else:
+        res = linprog(np.r_[np.zeros(k), -1.0],
+                      A_ub=np.column_stack([normals, scale]), b_ub=offsets,
+                      bounds=[(None, None)] * k + [(0.0, None)])
+        x = res.x if res.status == 0 else np.zeros(k + 1)
+    if x[-1] <= flat:
         raise DegenerateRegimeError("flat or empty polytope: no interior")
     try:
         verts = HalfspaceIntersection(
-            np.column_stack([normals, -offsets]), res.x[:k]).intersections
+            np.column_stack([normals, -offsets]), x[:k]).intersections
         hull = ConvexHull(verts)
     except QhullError as exc:
         raise DegenerateRegimeError(f"flat polytope: {exc}") from exc

@@ -43,6 +43,7 @@ from slicebound.bodies import vol_ball_p, vol_simplex_inradius1
 from slicebound.decomp import JohnDecomposition, ProjectedDecomposition
 from slicebound.oracle import _hull, exact_volume_smallk
 from slicebound.specfun import (
+    _GAMMA_P_MIN_P,
     WILLS_G_MAX_P,
     QuadratureResult,
     WillsIntegrandParams,
@@ -623,6 +624,17 @@ class TestBuildReport:
         names = {e["name"] for e in rep.entries}
         assert names == {"k1_upper", "k1_intermediate", "k1_lower",
                          "kp_upper", "kp_lower"}
+
+    @pytest.mark.parametrize("p, names", [
+        (1.01, {"kp_upper"}), (_GAMMA_P_MIN_P, {"kp_upper", "kp_lower"})])
+    def test_all_keeps_kp_lower_in_gamma_p_domain(self, p, names):
+        # kp_lower takes gamma_p's p = 1 or p >= _GAMMA_P_MIN_P, and raises
+        # between them
+        assert 1.0 < 1.01 < _GAMMA_P_MIN_P
+        ball = KpBall(cube_decomposition(3, one_sided=True), p, np.ones(3))
+        rep = build_report("all", ball=ball, subspace=Subspace.random(
+            3, 2, np.random.default_rng(0)))
+        assert {e["name"] for e in rep.entries} == names
 
 
 PLANE = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])

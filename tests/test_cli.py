@@ -44,6 +44,17 @@ def b1_ball(tmp_path, cube3_one_sided):
     return str(path)
 
 
+@pytest.fixture
+def b101_ball(tmp_path, cube3_one_sided):
+    # p = 1.01 lies below gamma_p's domain, so kp_lower raises there
+    with open(cube3_one_sided) as fh:
+        inner = json.load(fh)
+    path = tmp_path / "b101.json"
+    path.write_text(json.dumps(
+        {"p": 1.01, "alphas": [1.0, 1.0, 1.0], "decomp": inner}))
+    return str(path)
+
+
 class TestConstruct:
     def test_cube_stdout(self, capsys):
         code, out, _ = run(capsys, "construct", "cube", "--n", "2")
@@ -220,6 +231,17 @@ class TestBound:
         assert code == 0
         names = {e["name"] for e in json.loads(out)["entries"]}
         assert "k1_upper" in names and "kp_lower" in names
+
+    def test_kp_lower_outside_gamma_p_domain(self, capsys, b101_ball):
+        argv = ("bound", "--input", b101_ball,
+                "--subspace", '{"basis": [[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}')
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert [e["name"] for e in json.loads(out)["entries"]] == ["kp_upper"]
+        code, out, err = run(capsys, *argv, "--bounds", "kp_lower")
+        assert code == 1
+        assert out == ""
+        assert "supported p" in err
 
     def test_centered_all_hits_nonsym_gate(self, capsys, cube3):
         # a centered system also evaluates the nonsymmetric bounds, whose
@@ -533,6 +555,21 @@ UNREAD = ([(cmd, opt) for cmd in SURFACE for opt in VALUES
            if opt not in SURFACE[cmd]]
           + [(f"verify {what}", opt) for what in ("parseval", "wills")
              for opt in ("--bounds", "--oracle", "--force")])
+
+
+class TestParserCache:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_no_state_between_calls(self, capsys, cube3):
+        argv = ("verify", "wills", "--input", cube3,
+                "--subspace", '{"coordinate": [0, 1]}', "--seed", "3")
+        code, out, _ = run(capsys, *argv, "--samples", "2000")
+        assert code == 0
+        assert json.loads(out)["samples"] == 2000
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["samples"] == 10 ** 5
 
 
 class TestOptionSurface:

@@ -492,6 +492,77 @@ class TestHullPrimitive:
                                                  rel=1e-12)
 
 
+def _enumerated_volume(poly):
+    """Volume from brute-force vertex enumeration: every k rows of the
+    expanded constraints solved as equalities, the feasible solutions kept."""
+    normals, offsets = poly.expanded_constraints()
+    verts = []
+    for rows in itertools.combinations(range(len(normals)), poly.k):
+        a = normals[list(rows)]
+        if abs(np.linalg.det(a)) > 1e-9:
+            x = np.linalg.solve(a, offsets[list(rows)])
+            if np.all(normals @ x <= offsets + 1e-9):
+                verts.append(x)
+    verts = np.array(verts)
+    if poly.k == 1:
+        return float(np.ptp(verts))
+    return ConvexHull(verts).volume
+
+
+class TestSymmetricHull:
+    """A symmetric section's Chebyshev centre is the origin and its inradius
+    min_i b_i/|a_i|, so _hull solves no LP for it; one-sided sections keep
+    the LP."""
+
+    @pytest.fixture
+    def no_lp(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("linprog on a symmetric section")
+
+        monkeypatch.setattr(oracle, "linprog", refuse)
+
+    @pytest.mark.parametrize("name, volume", [
+        ("square", 4.0), ("hexagon", 3.0 * math.sqrt(3.0)), ("cube", 8.0)])
+    def test_closed_forms(self, no_lp, name, volume):
+        poly = square_section() if name == "square" else SECTIONS[name]
+        assert _hull(poly)[0] == pytest.approx(volume, rel=1e-12)
+
+    @pytest.mark.parametrize("name", [f"{s}_k{k}" for s in
+                                      ("cube5", "hadamard48")
+                                      for k in (1, 2, 3)])
+    def test_random_sections(self, no_lp, name):
+        poly = SECTIONS[name]
+        assert _hull(poly)[0] == pytest.approx(_enumerated_volume(poly),
+                                               rel=1e-12)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("width", [0.0, 1e-12])
+    def test_flat_raises(self, no_lp, k, width):
+        # |y_k| <= width flattens the square or cube: its inradius is below
+        # 1e-9 of the circumradius
+        flat = HPolytopeSection(
+            subspace=Subspace.coordinate(k, range(k)),
+            normals=np.eye(k), offsets=np.r_[np.ones(k - 1), width],
+            symmetric=True, circumradius=2.0)
+        with pytest.raises(DegenerateRegimeError):
+            _hull(flat)
+
+    def test_one_sided_keeps_lp(self, monkeypatch):
+        chebyshev = []
+        solve = oracle.linprog
+
+        def counted(*args, **kwargs):
+            chebyshev.append("A_ub" in kwargs)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "linprog", counted)
+        poly = nonsym_section_polytope(simplex_decomposition(3),
+                                       Subspace.coordinate(3, range(3)))
+        assert _hull(poly)[0] == pytest.approx(8.0 * math.sqrt(3.0),
+                                               rel=1e-12)
+        assert chebyshev.count(True) == 1
+
+
 class TestSphereGrid:
     def test_unit_norm(self):
         dirs = _sphere_grid(500)
@@ -637,6 +708,10 @@ class TestKernelPaths:
 
 
 HEXAGON = np.array([[1.0, -1.0, 0.0], [1.0, 1.0, -2.0]])
+# the planes orthogonal to (1, 1, 2) and (1, 2, 3) cut cube(3) in
+# parallelograms whose third pair of rows touches them only at two vertices
+PLANE_112 = np.array([[1.0, -1.0, 0.0], [2.0, 0.0, -1.0]])
+PLANE_123 = np.array([[2.0, -1.0, 0.0], [3.0, 0.0, -1.0]])
 
 
 def _sections():
@@ -644,6 +719,8 @@ def _sections():
     out = {"hexagon": section_polytope(project(cube3, Subspace(3, HEXAGON))),
            "cube": section_polytope(project(cube3,
                                             Subspace.coordinate(3, range(3))))}
+    for name, basis in (("plane112", PLANE_112), ("plane123", PLANE_123)):
+        out[name] = section_polytope(project(cube3, Subspace(3, basis)))
     rng = np.random.default_rng(21)
     for name, system in (("cube5", cube_decomposition(5)),
                          ("hadamard48", hadamard_decomposition(4, 8))):
@@ -698,8 +775,61 @@ class TestExactDistances:
                     math.sqrt(14.0)]
         assert _exact(poly, pts) == pytest.approx(expected, abs=1e-14)
 
+    @pytest.mark.parametrize("name", ["plane112", "plane123"])
+    def test_redundant_rows(self, name):
+        # six constraints, four edges: the rows that only touch a vertex
+        # carry no segment
+        poly = SECTIONS[name]
+        normals, offsets = _unit_constraints(poly)
+        ends = _hull(poly)[1]
+        assert len(normals) == 6 and len(ends) == 4
+        on_edge = [np.any(np.all(np.abs(ends @ a - b) <= 1e-12, axis=1))
+                   for a, b in zip(normals, offsets)]
+        assert sum(on_edge) == 4
+
+    def test_tie_with_earlier_redundant_row(self):
+        # plane112 with a copy of one facet's row put first: outside its
+        # edge the copy and the facet violate equally, and the first row
+        # that attains the largest violation is the copy
+        poly = SECTIONS["plane112"]
+        normals, offsets = _unit_constraints(poly)
+        ends = _hull(poly)[1]
+        f = next(c for c, (a, b) in enumerate(zip(normals, offsets))
+                 if np.any(np.all(np.abs(ends @ a - b) <= 1e-12, axis=1)))
+        edge = next(e for e in ends if np.all(np.abs(e @ normals[f]
+                                                     - offsets[f]) <= 1e-12))
+        tied_n = np.vstack([normals[f], normals])
+        tied_o = np.r_[offsets[f], offsets]
+        pts = (edge[0] + np.array([0.25, 0.5, 0.75])[:, None]
+               * (edge[1] - edge[0])) + 0.7 * normals[f]
+        excess = pts @ tied_n.T - tied_o
+        assert np.all(excess[:, 0] == excess.max(axis=1))
+        assert np.all(excess[:, 1 + f] == excess[:, 0])
+        dist = exact_distances(pts, tied_n, tied_o, ends)
+        assert dist == pytest.approx(np.full(3, 0.7), abs=1e-14)
+        ref = _dykstra_distances_impl(pts, normals, offsets, 10 ** 5, 1e-14)
+        assert np.abs(dist - ref).max() <= 1e-12
+
+    def test_redundant_row_at_its_vertex(self):
+        # straight out from the vertex a redundant row touches, along that
+        # row's normal: the row violates most, and its foot is the vertex
+        poly = SECTIONS["plane112"]
+        normals, offsets = _unit_constraints(poly)
+        ends = _hull(poly)[1]
+        corners = np.unique(ends.reshape(-1, 2), axis=0)
+        seen = 0
+        for a, b in zip(normals, offsets):
+            touch = corners[np.abs(corners @ a - b) <= 1e-12]
+            if len(touch) == 1:                 # a vertex, not an edge
+                seen += 1
+                pts = touch + np.array([[0.5], [2.0]]) * a
+                dist = exact_distances(pts, normals, offsets, ends)
+                assert dist == pytest.approx([0.5, 2.0], abs=1e-14)
+        assert seen == 2
+
     @pytest.mark.parametrize("name", ["hexagon", "cube", "cube5_k1",
-                                      "hadamard48_k3"])
+                                      "hadamard48_k3", "plane112",
+                                      "plane123"])
     def test_inside_exactly_zero(self, name):
         poly = SECTIONS[name]
         pts = _ball_points(np.random.default_rng(23), 4000, poly.k,
