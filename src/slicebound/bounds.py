@@ -327,12 +327,24 @@ def bound_nonsym_fourier(nl, force=False):
 
 def bound_nonsym_hyperplane(n):
     """Hyperplane-section bound for centered bodies in terms of the regular
-    simplex: (1/sqrt2) sqrt((n+1)/n) ((n+1)/(n-1))^((n-1)/2) vol(S_{n-1})."""
+    simplex: (1/sqrt2) sqrt((n+1)/n) ((n+1)/(n-1))^((n-1)/2) vol(S_{n-1}),
+    rounded up (it is sharp: 3 at n = 2).
+
+    Its ten divisions, products, square roots and int-to-float conversions
+    (three of them in vol_simplex_inradius1) are correctly rounded, each
+    within u = 2^-53 relative; its three pows are within 1 ulp, 2 u each;
+    and the rounding of the base (n+1)/(n-1) is raised to the power
+    (n-1)/2.  That is at most (16 + (n-1)/2) u, and an ulp exceeds u times
+    the value, so stepping up by that many ulps, plus 2 for second-order
+    terms, covers the error."""
     if n < 2:
         raise StructuralError(f"need n >= 2, got {n}")
     pref = (1.0 / math.sqrt(2.0)) * math.sqrt((n + 1.0) / n)
     pref *= ((n + 1.0) / (n - 1.0)) ** ((n - 1) / 2.0)
-    return pref * vol_simplex_inradius1(n - 1)
+    value = pref * vol_simplex_inradius1(n - 1)
+    for _ in range(math.ceil(16.0 + (n - 1) / 2.0) + 2):
+        value = math.nextafter(value, math.inf)
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -116,14 +116,21 @@ def _hit_or_miss(count_hits, volume, k, samples, seed):
     """Volume of a body from the hit counts of uniform points of [-1, 1]^k,
     which an affine map of the given volume carries onto an envelope of the
     body (_slab_envelope); count_hits takes one (k, N) chunk of points,
-    drawn in chunks of fixed size so that equal seeds give equal streams."""
+    drawn in chunks of fixed size so that equal seeds give equal streams.
+    Each chunk is drawn into one reused buffer as 2 d - 1 from uniform d on
+    [0, 1), which is rng.uniform(-1, 1) bit for bit: d is a multiple of
+    2^-53, so 2 d and 2 d - 1 are exact."""
     if samples < 1000:
         raise StructuralError("need at least 1000 samples")
     rng = np.random.default_rng(seed)
+    buf = np.empty(k * min(_CHUNK, samples))
     hits = 0
     for done in range(0, samples, _CHUNK):
-        hits += count_hits(
-            rng.uniform(-1.0, 1.0, (k, min(_CHUNK, samples - done))))
+        n = min(_CHUNK, samples - done)
+        u = rng.random(out=buf[:k * n].reshape(k, n))
+        u *= 2.0
+        u -= 1.0
+        hits += count_hits(u)
     if hits == 0:
         raise DegenerateRegimeError(f"no hit in {samples} samples")
     p = hits / samples

@@ -471,38 +471,27 @@ def _dist_sq_ft_zeros(alpha, s_sine, cut):
 # estimate is 5e-4 relative at alpha = 0 and p = 100).
 # bound_wills_functional bounds g beyond it through g at this p.
 WILLS_G_MAX_P = 100.0
+# wills_g's window (0, _WILLS_CUT): below _WILLS_SINE_START the zeros of
+# A_alpha are searched for, and from it on they are the multiples of pi/alpha
+_WILLS_SINE_START = 25.0
+_WILLS_CUT = 2000.0
 
 
-def wills_g(params):
-    """g(alpha) = integral over R of |A_alpha(s)|^p ds, A_alpha = dist_sq_ft,
-    for p <= WILLS_G_MAX_P.
+@functools.lru_cache(maxsize=64)
+def _wills_layout(alpha):
+    """wills_g's panels for scale alpha, which depend on no p: the panels
+    integrated as |A_alpha|^p and the kind-4 half periods of sin(alpha s),
+    each as read-only (lo, hi, kind) arrays, and the number of evaluations
+    the zero search spent.  Cached per alpha, as _panel_rules is per p.
 
-    The integrand is even.  The window (0, 2000) is split at the zeros of
-    A_alpha and at fixed steps, 2.5 apart up to 25 and geometric (ratio
-    below 2) beyond, which grade the stretches where A_alpha does not
-    oscillate (alpha = 0, or sin(alpha s) without a zero below 2000).  A step
-    nearer to a zero than to its neighbouring steps is dropped.  _panel_sum
-    integrates every panel with an 8- and a 16-point Gauss-Jacobi rule whose
-    weight |s - z|^p absorbs |A_alpha|^p's non-analytic behaviour at each
-    end z that is a zero (Legendre where neither end is).  From 25 on,
-    A_alpha is 2 sin(alpha s)(1 - s I(s))/s up to a Gaussian term below
-    4e-19 of its envelope, so a panel between two zeros is a half period of
-    sin(alpha s): its rule carries |sin|^p in its weights, and only
-    |2 (1 - s I(s))/s|^p is evaluated at its nodes.
-
-    The value and error estimate are _panel_sum's, the estimate plus the
-    tail beyond the window bounded through
-    |A_alpha(s)| <= 2 _M_SINE_ENVELOPE / s^3.  `evaluations` counts
-    every point at which A_alpha was evaluated, the zero search included.
-    """
-    p, alpha = params.p, params.alpha
-    if p > WILLS_G_MAX_P:
-        raise DomainError(
-            f"g overflows for p > {WILLS_G_MAX_P:g} (got p={p})")
-    cut, s_sine = 2000.0, 25.0
-    zeros, evals = _dist_sq_ft_zeros(alpha, s_sine, cut)
-    steps = np.union1d(np.linspace(0.0, s_sine, 11),
-                       np.geomspace(s_sine, cut, 8))
+    The window is split at the zeros of A_alpha and at fixed steps, 2.5
+    apart up to _WILLS_SINE_START and geometric (ratio below 2) beyond,
+    which grade the stretches where A_alpha does not oscillate (alpha = 0,
+    or sin(alpha s) without a zero in the window).  A step nearer to a zero
+    than to its neighbouring steps is dropped."""
+    zeros, evals = _dist_sq_ft_zeros(alpha, _WILLS_SINE_START, _WILLS_CUT)
+    steps = np.union1d(np.linspace(0.0, _WILLS_SINE_START, 11),
+                       np.geomspace(_WILLS_SINE_START, _WILLS_CUT, 8))
     if zeros.size:
         # Drop an inner step nearer to a zero than to its neighbouring
         # steps: the panel beside it would stop just short of the zero.
@@ -512,15 +501,51 @@ def wills_g(params):
         near = np.minimum(
             np.abs(steps - zeros[np.maximum(j - 1, 0)]),
             np.abs(steps - zeros[np.minimum(j, zeros.size - 1)]))
-        steps = steps[(near >= gap) | (steps == 0.0) | (steps == cut)]
+        steps = steps[(near >= gap) | (steps == 0.0) | (steps == _WILLS_CUT)]
     edges = np.union1d(steps, zeros)
     lo, hi = edges[:-1], edges[1:]
     at_zero = np.isin(edges, zeros)
     kind = at_zero[:-1] + 2 * at_zero[1:]
-    # from s_sine on, a panel between two zeros is a half period of
-    # sin(alpha s): kind 4 folds |sin(alpha s)|^p into the weights
-    fold = (kind == 3) & (lo >= s_sine)
+    # from _WILLS_SINE_START on, a panel between two zeros is a half period
+    # of sin(alpha s): kind 4 folds |sin(alpha s)|^p into the weights
+    fold = (kind == 3) & (lo >= _WILLS_SINE_START)
     kind[fold] = 4
+    parts = tuple((lo[part], hi[part], kind[part]) for part in (~fold, fold))
+    for arrays in parts:
+        for a in arrays:
+            a.setflags(write=False)
+    return parts, evals
+
+
+def wills_g(params):
+    """g(alpha) = integral over R of |A_alpha(s)|^p ds, A_alpha = dist_sq_ft,
+    for p <= WILLS_G_MAX_P.
+
+    The integrand is even.  Its window (0, 2000) is split into panels by
+    _wills_layout, which depends on alpha alone and is built once per alpha.
+    _panel_sum integrates every panel with an 8- and a 16-point Gauss-Jacobi
+    rule whose weight |s - z|^p absorbs |A_alpha|^p's non-analytic behaviour
+    at each end z that is a zero (Legendre where neither end is).  From 25
+    on, A_alpha is 2 sin(alpha s)(1 - s I(s))/s up to a Gaussian term below
+    4e-19 of its envelope, so a panel between two zeros is a half period of
+    sin(alpha s): its rule carries |sin|^p in its weights, and only
+    |2 (1 - s I(s))/s|^p is evaluated at its nodes.
+
+    The value and error estimate are _panel_sum's, the estimate plus the
+    tail beyond the window bounded through
+    |A_alpha(s)| <= 2 _M_SINE_ENVELOPE / s^3.  `evaluations` counts the
+    points at which this call evaluated A_alpha: the panels' nodes, and the
+    zero search's points only on the call that built the layout, so a
+    later call at the same alpha counts its nodes alone.
+    """
+    p, alpha = params.p, params.alpha
+    if p > WILLS_G_MAX_P:
+        raise DomainError(
+            f"g overflows for p > {WILLS_G_MAX_P:g} (got p={p})")
+    built = _wills_layout.cache_info().misses
+    parts, evals = _wills_layout(alpha)
+    if _wills_layout.cache_info().misses == built:
+        evals = 0                      # an earlier call ran the zero search
 
     def full(s):
         return np.abs(dist_sq_ft(alpha, s)) ** p
@@ -529,11 +554,12 @@ def wills_g(params):
         return np.abs(2.0 * (1.0 - s * gauss_sine_integral(s)) / s) ** p
 
     value = err = 0.0
-    for integrand, part in ((full, ~fold), (envelope, fold)):
-        v, dv, n = _panel_sum(integrand, lo[part], hi[part], kind[part], p)
+    for integrand, (lo, hi, kind) in zip((full, envelope), parts):
+        v, dv, n = _panel_sum(integrand, lo, hi, kind, p)
         value, err, evals = value + v, err + dv, evals + n
     # integral of (env/s^3)^p beyond the window, env = 2 _M_SINE_ENVELOPE
-    tail = cut * (2.0 * _M_SINE_ENVELOPE / cut ** 3) ** p / (3.0 * p - 1.0)
+    tail = (_WILLS_CUT * (2.0 * _M_SINE_ENVELOPE / _WILLS_CUT ** 3) ** p
+            / (3.0 * p - 1.0))
     return QuadratureResult(2.0 * value, 2.0 * (err + tail), evals)
 
 

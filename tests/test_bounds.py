@@ -543,10 +543,26 @@ class TestNonsymBounds:
     def test_hyperplane_plane_value(self):
         # n = 2: (1/sqrt2) sqrt(3/2) * 3^(1/2) * 2 = 3
         assert bound_nonsym_hyperplane(2) == pytest.approx(3.0, rel=1e-12)
+        # the section of length 3 is attained: an upper bound rounds up
+        assert bound_nonsym_hyperplane(2) >= 3.0
 
     def test_hyperplane_domain(self):
         with pytest.raises(StructuralError):
             bound_nonsym_hyperplane(1)
+
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_hyperplane_rounded_up(self, n):
+        # the same formula at 30 digits, with no slack
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            n_, k = mpmath.mpf(n), mpmath.mpf(n - 1)
+            exact = (mpmath.sqrt((n_ + 1) / (2 * n_))
+                     * ((n_ + 1) / (n_ - 1)) ** ((n_ - 1) / 2)
+                     * k ** (k / 2) * (k + 1) ** ((k + 1) / 2)
+                     / mpmath.factorial(n - 1))
+            value = bound_nonsym_hyperplane(n)
+            assert mpmath.mpf(value) >= exact
+            assert value <= exact * (1 + 1e-13)
 
 
 class TestRotationInvariance:
@@ -669,7 +685,7 @@ REGISTRY_REFERENCE = {
     "centered lift": [
         ("nonsym_fourier", 8.485281374238568, "all kappa >= 1/2", True,
          "eba1a42ec7a95ebe"),
-        ("nonsym_hyperplane", 8.48528137423857,
+        ("nonsym_hyperplane", 8.485281374238603,
          "all kappa >= 1/2 (reported alongside)", True, "eba1a42ec7a95ebe"),
     ],
 }

@@ -880,6 +880,46 @@ class TestSampleStream:
                                               count, k, 1.7)
                 assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_hit_or_miss_chunks_unchanged(self, k):
+        # the reused buffer holds rng.uniform(-1, 1)'s chunks bit for bit:
+        # one partial chunk, and full chunks followed by a partial one
+        for samples in (1000, oracle._CHUNK + 1000, 2 * oracle._CHUNK):
+            got = []
+            oracle._hit_or_miss(lambda u: got.append(u.copy()) or 1,
+                                1.0, k, samples, seed=k)
+            rng = np.random.default_rng(k)
+            assert sum(u.shape[1] for u in got) == samples
+            for u in got:
+                assert u.shape[0] == k
+                assert np.array_equal(u, rng.uniform(-1.0, 1.0, u.shape))
+
+    def test_hit_or_miss_estimates_unchanged(self, monkeypatch):
+        # mc_volume and mc_kp_section_volume give the estimates of the
+        # plain stream, a new rng.uniform(-1, 1) array per chunk
+        buffered = oracle._hit_or_miss
+
+        def plain(count_hits, volume, k, samples, seed):
+            rng = np.random.default_rng(seed)
+            return buffered(
+                lambda u: count_hits(rng.uniform(-1.0, 1.0, u.shape)),
+                volume, k, samples, seed)
+
+        rng = np.random.default_rng(12)
+        cube = cube_decomposition(5)
+        system = hadamard_decomposition(4, 8)
+        ball = KpBall(system, 1.5, rng.uniform(0.5, 2.0, system.m))
+        runs = [(mc_volume, section_polytope(project(
+                    cube, Subspace.random(5, k, rng))), seed)
+                for k, seed in ((2, 3), (3, 4))]
+        runs += [(lambda H, n, seed: mc_kp_section_volume(ball, H, n, seed),
+                  Subspace.random(system.dim, 3, rng), 5)]
+        samples = 2 * oracle._CHUNK + 777
+        got = [fn(arg, samples, seed) for fn, arg, seed in runs]
+        monkeypatch.setattr(oracle, "_hit_or_miss", plain)
+        want = [fn(arg, samples, seed) for fn, arg, seed in runs]
+        assert got == want
+
     def test_ball_points_zero_row(self):
         class Zeros:
             def standard_normal(self, shape):

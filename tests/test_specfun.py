@@ -25,6 +25,7 @@ from slicebound.specfun import (
     _panel_rules,
     _panel_sum,
     _sinc_product_integrals,
+    _wills_layout,
     ball_integral_bound_check,
     dist_sq_ft,
     gamma_p,
@@ -475,6 +476,64 @@ class TestDistSqFtZeros:
         diff = (dist_sq_ft(alpha, z + h) - dist_sq_ft(alpha, z - h)) / (2 * h)
         assert np.all(np.abs(slope - diff) <= 1e-7 * np.maximum(1.0,
                                                                 np.abs(diff)))
+
+
+def uncached_wills_g(alpha, p):
+    """wills_g on a layout built afresh for this call."""
+    _wills_layout.cache_clear()
+    return wills_g(WillsIntegrandParams(alpha=alpha, p=p))
+
+
+class TestWillsLayout:
+    """wills_g's panels depend on alpha alone and are built once per alpha."""
+
+    def test_one_build_per_alpha(self):
+        alpha = 0.3 + math.pi / 1e4
+        before = _wills_layout.cache_info()
+        first = [wills_g(WillsIntegrandParams(alpha=alpha, p=p))
+                 for p in (1.1, 2.0, 3.5)]
+        again = [wills_g(WillsIntegrandParams(alpha=alpha, p=p))
+                 for p in (1.1, 2.0, 3.5)]
+        after = _wills_layout.cache_info()
+        assert after.misses - before.misses == 1
+        assert after.hits - before.hits == 5
+        # the zero search's points count once, on the call that built it
+        _, search = _dist_sq_ft_zeros(alpha, 25.0, 2000.0)
+        assert search > 0
+        assert first[0].evaluations == again[0].evaluations + search
+        for a, b in zip(first[1:], again[1:]):
+            assert a.evaluations == b.evaluations
+
+    def test_arrays_read_only(self):
+        parts, _ = _wills_layout(0.7)
+        assert len(parts) == 2
+        for lo, hi, kind in parts:
+            for a in (lo, hi, kind):
+                assert not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a[:1] = 0
+
+    @pytest.mark.parametrize("alpha, p", sorted(
+        set(REF_WILLS_G) | set(itertools.product(
+            TestDistSqFtZeros.ALPHAS, (1.05, 2.0, 7.0)))))
+    def test_bit_equal_to_uncached(self, alpha, p):
+        cold = uncached_wills_g(alpha, p)
+        warm = wills_g(WillsIntegrandParams(alpha=alpha, p=p))
+        assert warm.value == cold.value
+        assert warm.abs_error_estimate == cold.abs_error_estimate
+        assert warm.evaluations <= cold.evaluations
+
+    def test_alphas_one_ulp_apart(self):
+        a = 1.0 / math.sqrt(2.0)
+        b = math.nextafter(a, math.inf)
+        _wills_layout.cache_clear()
+        ga = wills_g(WillsIntegrandParams(alpha=a, p=2.5))
+        gb = wills_g(WillsIntegrandParams(alpha=b, p=2.5))
+        assert _wills_layout.cache_info().misses == 2
+        assert _wills_layout(a) is not _wills_layout(b)
+        for alpha, cached in ((a, ga), (b, gb)):
+            fresh = uncached_wills_g(alpha, 2.5)
+            assert fresh == cached
 
 
 class TestPanelRules:
