@@ -218,13 +218,33 @@ def bound_k1_lower(ball, H):
 
 
 def bound_kp_upper(ball, H):
-    """vol(B_p^k) * prod_j (sqrt(c_j)/alpha_j^(1/p))^(tc_j)."""
+    """vol(B_p^k) * prod_j (sqrt(c_j)/alpha_j^(1/p))^(tc_j), rounded up (it
+    is sharp: vol(B_p^k) at coordinate sections with unit alphas).
+
+    In units u = 2^-53 of relative error, with 1 ulp at most 2 u: each
+    math.gamma is within 10 ulps (CPython's stated accuracy), and the 2 u
+    error of its argument x >= 1.5 moves it by 2 u x psi(x) < 2 u x ln x.
+    At x = 1 + 1/p in [1.5, 2], x psi(x) <= 2 psi(2) < 0.85, so the first
+    Gamma is within 22 u, which the pow raises k-fold, plus 2 u for the
+    pow.  The second Gamma adds 20 u + 2 u x ln x at x = 1 + k/p, the
+    division u, exp 2 u, the product u, and 2 more cover second-order
+    terms.  The log of the product carries an absolute error
+    of (m + 4) u S, S = sum_j tc_j (|log c_j| / 2 + |log alpha_j| / p), from
+    its 1-ulp logs, its three operations per term and the sum of its m
+    terms; exp turns it into a relative one.  An ulp exceeds u times the
+    value, so stepping up by that many ulps covers the error."""
     proj, alphas = _ball_projection(ball, H)
-    p = ball.p
-    log_prod = float(np.sum(
-        proj.tilde_weights * (0.5 * np.log(proj.weights) - np.log(alphas) / p)
-    ))
-    return vol_ball_p(proj.k, p) * math.exp(log_prod)
+    p, k = ball.p, proj.k
+    half_log_c, log_a = 0.5 * np.log(proj.weights), np.log(alphas) / p
+    log_prod = float(np.sum(proj.tilde_weights * (half_log_c - log_a)))
+    value = vol_ball_p(k, p) * math.exp(log_prod)
+    size = float(np.sum(proj.tilde_weights
+                        * (np.abs(half_log_c) + np.abs(log_a))))
+    x = 1.0 + k / p
+    ulps = math.ceil(22 * k + 28 + 2.0 * x * math.log(x)
+                     + (len(alphas) + 4) * size)
+    # one ulp more: past a power of two the sum may round down by one
+    return value + (ulps + 1) * math.ulp(value)
 
 
 @functools.lru_cache(maxsize=16)

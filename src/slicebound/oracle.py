@@ -6,19 +6,25 @@ sampling, Qhull halfspace intersection, or quadrature of Fourier transforms,
 so agreement with the bounds module is evidence rather than tautology.  The
 Monte-Carlo volumes of polytopes and l_p balls sample one envelope, a
 parallelotope cut by k of the body's own slabs, picked by a pivoted QR;
-their error bar is the Wilson score half-width of the hit rate.  Up
-to EXACT_MAX_K one primitive, _hull, gives a section's exact geometry: its
-volume, the segments covering its edges and each segment's share of its
-normal cone.  The exact volume, V_1 and the Wills oracle's exact distances
-all read it.  The Parseval right-hand side integrates in polar coordinates:
-one evaluator takes the radial integrals exactly, as batched sine-product
-integrals, and the angle is the single point of d = 1, an adaptive
-quadrature cut at the integrand's kinks and knots for d = 2, or a sphere
-grid for d = 3.
+their error bar is the Wilson score half-width of the hit rate.  They
+count on every CPU the process may run on, in blocks that each draw from
+their own place in the serial stream (_hit_or_miss), so the estimates do
+not depend on the number of CPUs.  The Wills oracle's stream stays serial:
+its normal draws take a varying number of words each.  Up to EXACT_MAX_K
+one primitive, _hull, gives a section's exact geometry: its volume, the
+segments covering its edges and each segment's share of its normal cone.
+The exact volume, V_1 and the Wills oracle's exact distances all read it.
+The Parseval right-hand side integrates in polar coordinates: one evaluator
+takes the radial integrals exactly, as batched sine-product integrals, and
+the angle is the single point of d = 1, an adaptive quadrature cut at the
+integrand's kinks and knots for d = 2, or a sphere grid for d = 3.
 """
 
 import itertools
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +41,30 @@ from .errors import (DegenerateRegimeError, DomainError, GateError,
 from .specfun import _sinc_product_integrals
 
 _CHUNK = 1 << 16          # fixed batch size keeps streams seed-reproducible
+_BLOCK = 1 << 14          # columns of a chunk one hit-or-miss count takes
+_PERIOD = 1 << 128        # PCG64's state cycle
 EXACT_MAX_K = 3           # exact volume, V_1, Parseval lhs, distances
+
+
+def _cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:        # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _new_pool():
+    global _POOL
+    _POOL = ThreadPoolExecutor(max(_WORKERS - 1, 1))
+
+
+# _hit_or_miss counts on every CPU the process may run on: the caller and
+# _WORKERS - 1 pool threads.  A forked child gets a pool of its own, since
+# the parent's threads do not exist there.
+_WORKERS = _cpus()
+_new_pool()
+if hasattr(os, "register_at_fork"):       # no fork on Windows
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 @dataclass(frozen=True)
@@ -78,7 +107,10 @@ def _check_bounded(poly):
 
 def _sample_chunks(samples, seed, k, radius):
     """Uniform points in the k-ball of the given radius, drawn in chunks of
-    fixed size so that equal seeds give equal streams."""
+    fixed size so that equal seeds give equal streams.  Serial, unlike
+    _hit_or_miss: standard_normal's ziggurat takes a varying number of
+    PCG64 words per draw, so PCG64.advance cannot find where a block of
+    the stream starts."""
     if samples < 1000:
         raise StructuralError("need at least 1000 samples")
     rng = np.random.default_rng(seed)
@@ -112,25 +144,72 @@ def _slab_envelope(rows, lo, hi):
     return c, shift, pick, float(2.0 ** k / np.prod(diag[:k]))
 
 
-def _hit_or_miss(count_hits, volume, k, samples, seed):
-    """Volume of a body from the hit counts of uniform points of [-1, 1]^k,
-    which an affine map of the given volume carries onto an envelope of the
-    body (_slab_envelope); count_hits takes one (k, N) chunk of points,
-    drawn in chunks of fixed size so that equal seeds give equal streams.
-    Each chunk is drawn into one reused buffer as 2 d - 1 from uniform d on
-    [0, 1), which is rng.uniform(-1, 1) bit for bit: d is a multiple of
-    2^-53, so 2 d and 2 d - 1 are exact."""
-    if samples < 1000:
-        raise StructuralError("need at least 1000 samples")
-    rng = np.random.default_rng(seed)
-    buf = np.empty(k * min(_CHUNK, samples))
-    hits = 0
-    for done in range(0, samples, _CHUNK):
-        n = min(_CHUNK, samples - done)
-        u = rng.random(out=buf[:k * n].reshape(k, n))
+def _count_share(count_hits, state, k, widest, todo):
+    """Hits of count_hits over the blocks (start, stride, width) it takes
+    from the deque todo until none is left: row r of a block is the width
+    draws from word start + r stride of the stream.  One PCG64 copy of the
+    seeded state jumps to each row by advance, modulo the 2^128 period of
+    its state, and fills it as Generator.random does the serial chunk's
+    row."""
+    bits = np.random.PCG64()
+    bits.state = state
+    gen = np.random.Generator(bits)
+    buf = np.empty(k * widest)
+    hits, pos = 0, 0
+    while True:
+        try:
+            start, stride, width = todo.popleft()    # thread-safe
+        except IndexError:
+            return hits
+        u = buf[:k * width].reshape(k, width)
+        for r in range(k):
+            bits.advance((start + r * stride - pos) % _PERIOD)
+            gen.random(out=u[r])
+            pos = start + r * stride + width
         u *= 2.0
         u -= 1.0
         hits += count_hits(u)
+
+
+def _hit_or_miss(count_hits, volume, k, samples, seed):
+    """Volume of a body from the hit counts of uniform points of [-1, 1]^k,
+    which an affine map of the given volume carries onto an envelope of the
+    body (_slab_envelope); count_hits takes one (k, N) block of points.
+
+    The stream is the serial one: chunks of _CHUNK samples, each the (k, n)
+    array rng.uniform(-1, 1, (k, n)), so equal seeds give equal streams.  A
+    uniform d on [0, 1) takes one PCG64 word, so chunk c, starting at sample
+    done, holds row r at words k done + r n onward, and PCG64.advance jumps
+    a copy of the seeded state there.  The chunks are cut into blocks of
+    _BLOCK columns, which the caller and _WORKERS - 1 pool threads take
+    from one queue as they come free.  A pool task that has not started
+    when the caller finds the queue empty is cancelled rather than waited
+    for, so a call never waits for a thread to wake.  Each block is drawn
+    into a reused buffer as 2 d - 1, which is rng.uniform(-1, 1) bit for
+    bit: d is a multiple of 2^-53, so 2 d and 2 d - 1 are exact.  Every
+    sample is counted once, at its serial place, and the hit count is a sum
+    of integers, so the estimate is the same for any worker count and any
+    order of the blocks."""
+    if samples < 1000:
+        raise StructuralError("need at least 1000 samples")
+    state = np.random.PCG64(seed).state
+    todo = deque()
+    for done in range(0, samples, _CHUNK):
+        n = min(_CHUNK, samples - done)
+        todo += [(k * done + s, n, min(_BLOCK, n - s))
+                 for s in range(0, n, _BLOCK)]
+    widest = todo[0][2]
+    futures = [_POOL.submit(_count_share, count_hits, state, k, widest, todo)
+               for _ in range(min(_WORKERS, len(todo)) - 1)]
+    try:
+        hits = _count_share(count_hits, state, k, widest, todo)
+    finally:
+        todo.clear()                    # on error, stop the others early
+        # a task not yet started would find no block: cancel it rather
+        # than wait for its thread to wake; wait for the others
+        started = [f for f in futures if not f.cancel()]
+        wait(started)
+    hits += sum(f.result() for f in started)
     if hits == 0:
         raise DegenerateRegimeError(f"no hit in {samples} samples")
     p = hits / samples

@@ -1,3 +1,4 @@
+import itertools
 import math
 from unittest import mock
 
@@ -406,6 +407,45 @@ class TestKpBounds:
             H = Subspace.random(4, k, rng)
             assert bound_kp_upper(ball, H) == pytest.approx(
                 vol_ball_p(k, 2.0), rel=1e-10)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_upper_coordinate_equality_rounds_up(self, n):
+        # at coordinate sections with unit alphas the bound is vol(B_p^k),
+        # and it may not round below the 30-digit value
+        mpmath = pytest.importorskip("mpmath")
+        for k, p in itertools.product(range(1, n + 1),
+                                      (1.0, 1.25, 1.5, 1.75, 2.0)):
+            ball = KpBall(cube_decomposition(n, one_sided=True), p,
+                          np.ones(n))
+            value = bound_kp_upper(ball, Subspace.coordinate(n, range(k)))
+            with mpmath.workdps(30):
+                q = mpmath.mpf(p)
+                exact = (2 * mpmath.gamma(1 + 1 / q)) ** k / mpmath.gamma(
+                    1 + k / q)
+                assert mpmath.mpf(value) >= exact
+                assert value <= exact * (1 + 1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_upper_coordinate_rounding_covers_the_logs(self, n):
+        # the full coordinate section with alphas 10^(+-100) is B_p^n
+        # scaled by alpha_j^(-1/p) along each axis; the bound's log sum then
+        # has terms of size ~ 100, whose rounding the step up covers too
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(n)
+        for trial in range(40):
+            p = (1.0, 1.25, 1.5, 1.75, 2.0)[trial % 5]
+            e = rng.uniform(-100.0, 100.0, n)
+            alphas = 10.0 ** (e - e.mean())
+            ball = KpBall(cube_decomposition(n, one_sided=True), p, alphas)
+            value = bound_kp_upper(ball, Subspace.coordinate(n, range(n)))
+            with mpmath.workdps(40):
+                q = mpmath.mpf(p)
+                exact = (2 * mpmath.gamma(1 + 1 / q)) ** n / mpmath.gamma(
+                    1 + n / q)
+                for a in alphas:
+                    exact *= mpmath.mpf(float(a)) ** (-1 / q)
+                assert mpmath.mpf(value) >= exact
+                assert value <= exact * (1 + 1e-10)
 
     def test_lower_euclidean_equality(self):
         rng = np.random.default_rng(14)

@@ -1,5 +1,10 @@
 import itertools
 import math
+import multiprocessing
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -867,6 +872,44 @@ def _ball_points_reference(rng, count, k, radius):
     return g / norms[:, None] * r[:, None]
 
 
+def _serial_stream(k, samples, seed):
+    """The serial hit-or-miss stream, its chunks side by side: a (k, samples)
+    array whose columns are the samples in order."""
+    rng = np.random.default_rng(seed)
+    return np.hstack([
+        rng.uniform(-1.0, 1.0, (k, min(oracle._CHUNK, samples - done)))
+        for done in range(0, samples, oracle._CHUNK)])
+
+
+def _hit_or_miss_reference(count_hits, volume, k, samples, seed):
+    # the serial loop written plainly: one rng.uniform(-1, 1) chunk at a time
+    hits = count_hits(_serial_stream(k, samples, seed))
+    p = hits / samples
+    se = (math.sqrt(p * (1.0 - p) / samples + 0.25 / samples ** 2)
+          / (1.0 + 1.0 / samples))
+    return oracle.McEstimate(mean=volume * p, std_error=volume * se,
+                             samples=samples, seed=seed, hit_rate=p)
+
+
+def _mc_runs():
+    """(estimator, body, samples, seed): polytope sections at k = 2, 3 and 5
+    and an l_p section, each at several chunks' worth of samples."""
+    rng = np.random.default_rng(12)
+    cube = cube_decomposition(5)
+    system = hadamard_decomposition(4, 8)
+    ball = KpBall(system, 1.5, rng.uniform(0.5, 2.0, system.m))
+    samples = 2 * oracle._CHUNK + 777
+    runs = [(mc_volume, section_polytope(project(
+                cube, Subspace.random(5, k, rng))), samples, seed)
+            for k, seed in ((2, 3), (3, 4))]
+    runs += [(mc_volume, nonsym_section_polytope(
+        simplex_decomposition(5), Subspace.random(5, 5, rng)),
+        oracle._CHUNK + 1000, 6)]
+    runs += [(lambda H, n, seed: mc_kp_section_volume(ball, H, n, seed),
+              Subspace.random(system.dim, 3, rng), samples, 5)]
+    return runs
+
+
 class TestSampleStream:
     # frozen formulas rather than hit counts: numpy does not promise that a
     # Generator's stream stays the same across versions
@@ -881,44 +924,53 @@ class TestSampleStream:
                 assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("k", range(1, 7))
-    def test_hit_or_miss_chunks_unchanged(self, k):
-        # the reused buffer holds rng.uniform(-1, 1)'s chunks bit for bit:
+    def test_hit_or_miss_chunks_unchanged(self, k, monkeypatch):
+        # every block count_hits sees is bit for bit the matching columns of
+        # one of rng.uniform(-1, 1)'s serial chunks, and the blocks cover
+        # every sample once, whatever the worker count and the call order:
         # one partial chunk, and full chunks followed by a partial one
-        for samples in (1000, oracle._CHUNK + 1000, 2 * oracle._CHUNK):
-            got = []
-            oracle._hit_or_miss(lambda u: got.append(u.copy()) or 1,
-                                1.0, k, samples, seed=k)
-            rng = np.random.default_rng(k)
-            assert sum(u.shape[1] for u in got) == samples
-            for u in got:
-                assert u.shape[0] == k
-                assert np.array_equal(u, rng.uniform(-1.0, 1.0, u.shape))
+        for samples in (1000, oracle._CHUNK + 1000, 2 * oracle._CHUNK + 777):
+            want = _serial_stream(k, samples, seed=k)
+            column = {want[:, j].tobytes(): j for j in range(samples)}
+            assert len(column) == samples    # a column tells its place
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(oracle, "_WORKERS", workers)
+                got = []
+                oracle._hit_or_miss(lambda u: got.append(u.copy()) or 1,
+                                    1.0, k, samples, seed=k)
+                cover = np.zeros(samples, dtype=int)
+                for u in got:
+                    assert u.shape[0] == k
+                    j, width = column[u[:, 0].tobytes()], u.shape[1]
+                    chunk = j // oracle._CHUNK
+                    assert (j + width - 1) // oracle._CHUNK == chunk
+                    assert np.array_equal(u, want[:, j:j + width])
+                    cover[j:j + width] += 1
+                assert np.all(cover == 1)
 
     def test_hit_or_miss_estimates_unchanged(self, monkeypatch):
         # mc_volume and mc_kp_section_volume give the estimates of the
-        # plain stream, a new rng.uniform(-1, 1) array per chunk
-        buffered = oracle._hit_or_miss
-
-        def plain(count_hits, volume, k, samples, seed):
-            rng = np.random.default_rng(seed)
-            return buffered(
-                lambda u: count_hits(rng.uniform(-1.0, 1.0, u.shape)),
-                volume, k, samples, seed)
-
-        rng = np.random.default_rng(12)
-        cube = cube_decomposition(5)
-        system = hadamard_decomposition(4, 8)
-        ball = KpBall(system, 1.5, rng.uniform(0.5, 2.0, system.m))
-        runs = [(mc_volume, section_polytope(project(
-                    cube, Subspace.random(5, k, rng))), seed)
-                for k, seed in ((2, 3), (3, 4))]
-        runs += [(lambda H, n, seed: mc_kp_section_volume(ball, H, n, seed),
-                  Subspace.random(system.dim, 3, rng), 5)]
-        samples = 2 * oracle._CHUNK + 777
-        got = [fn(arg, samples, seed) for fn, arg, seed in runs]
-        monkeypatch.setattr(oracle, "_hit_or_miss", plain)
-        want = [fn(arg, samples, seed) for fn, arg, seed in runs]
-        assert got == want
+        # serial loop, a new rng.uniform(-1, 1) array per chunk, at any
+        # worker count: pools of workers - 1 threads, more threads than
+        # cores at 3, and thread switches every microsecond, so that a lost
+        # hit would show
+        with monkeypatch.context() as serial:
+            serial.setattr(oracle, "_hit_or_miss", _hit_or_miss_reference)
+            want = [fn(arg, samples, seed)
+                    for fn, arg, samples, seed in _mc_runs()]
+        interval = sys.getswitchinterval()
+        for workers in (1, 2, 3):
+            pool = ThreadPoolExecutor(max(workers - 1, 1))
+            monkeypatch.setattr(oracle, "_WORKERS", workers)
+            monkeypatch.setattr(oracle, "_POOL", pool)
+            sys.setswitchinterval(1e-6)
+            try:
+                got = [fn(arg, samples, seed)
+                       for fn, arg, samples, seed in _mc_runs()]
+            finally:
+                sys.setswitchinterval(interval)
+                pool.shutdown()
+            assert got == want
 
     def test_ball_points_zero_row(self):
         class Zeros:
@@ -950,6 +1002,96 @@ class TestSampleStream:
         assert 0 < inside < len(x)
         assert inside == np.count_nonzero(want <= 1.0)
         assert ball.norm(x[0]).shape == (1,)
+
+
+class TestHitOrMissSplit:
+    # _hit_or_miss splits the stream over the caller and a thread pool
+
+    def test_blocks_at_most_block_columns(self, monkeypatch):
+        widths = []
+        kernel = oracle.count_inside
+
+        def counted(points, *args):
+            widths.append(len(points))
+            return kernel(points, *args)
+
+        monkeypatch.setattr(oracle, "count_inside", counted)
+        samples = 2 * oracle._CHUNK + 777
+        mc_volume(square_section(3), samples, 1)
+        assert sum(widths) == samples
+        assert max(widths) == oracle._BLOCK
+
+    @pytest.mark.parametrize("thrower", ["caller", "worker"])
+    def test_error_in_count_reaches_caller(self, thrower, monkeypatch):
+        # the caller and a pool thread meet in their first blocks, so the
+        # other one is inside count when one raises; the error surfaces
+        # only once it has left, and the next call is unaffected
+        monkeypatch.setattr(oracle, "_WORKERS", 2)
+        caller = threading.get_ident()
+        met, seen, busy = threading.Barrier(2, timeout=10), set(), []
+
+        def count(u):
+            me = threading.get_ident()
+            if me not in seen:
+                seen.add(me)
+                met.wait()
+            if (me == caller) == (thrower == "caller"):
+                raise ValueError("count failed")
+            busy.append(me)
+            time.sleep(0.05)
+            busy.remove(me)
+            return 1
+
+        with pytest.raises(ValueError, match="count failed"):
+            oracle._hit_or_miss(count, 1.0, 2, 4 * oracle._BLOCK, seed=1)
+        assert len(seen) == 2 and busy == []
+        poly = square_section(3)
+        got = mc_volume(poly, 4 * oracle._BLOCK, 7)
+        monkeypatch.setattr(oracle, "_hit_or_miss", _hit_or_miss_reference)
+        assert got == mc_volume(poly, 4 * oracle._BLOCK, 7)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork on this platform")
+    @pytest.mark.filterwarnings(
+        "ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_mc_volume_in_forked_child(self, monkeypatch):
+        # the parent's pool threads do not exist in a forked child, which
+        # gets a pool of its own: a pool thread meets the caller there
+        monkeypatch.setattr(oracle, "_WORKERS", 2)
+        poly = square_section(3)
+        samples = 4 * oracle._BLOCK
+        want = mc_volume(poly, samples, 5)       # the pool has a thread now
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+
+        def child():
+            met, seen = threading.Barrier(2, timeout=10), set()
+
+            def count(u):
+                if threading.get_ident() not in seen:
+                    seen.add(threading.get_ident())
+                    met.wait()
+                return 1
+
+            try:
+                oracle._hit_or_miss(count, 1.0, 2, samples, seed=1)
+                send.send(mc_volume(poly, samples, 5))
+            except Exception as exc:     # reported to the parent
+                send.send(repr(exc))
+
+        process = ctx.Process(target=child)
+        process.start()
+        try:
+            assert recv.poll(60), "the forked child gave no estimate"
+            assert recv.recv() == want
+        finally:
+            process.join(10)
+            if process.is_alive():
+                process.kill()
+                process.join()
+            recv.close()
+            send.close()
+        assert process.exitcode == 0
 
 
 def _slabs(poly):
