@@ -19,10 +19,9 @@ class HPolytopeSection:
 
     When symmetric, each (a_i, b_i) stands for the pair +-a_i.
     circumradius is an a-priori bound on the Euclidean norm over the body.
-    It is the Wills oracle's sampling envelope and the scale below which a
-    section counts as flat; the Monte-Carlo volume samples a parallelotope
-    cut from the body's own slabs instead, and reads it only to bound the
-    slabs of a one-sided polytope.
+    It is the scale below which a section counts as flat, and it bounds the
+    slabs of a one-sided polytope in the parallelotope that the Monte-Carlo
+    volume and Wills oracles sample.
     """
 
     subspace: Subspace

@@ -237,6 +237,8 @@ def cmd_construct(args):
 
 
 def cmd_sweep(args):
+    if args.count < 0:
+        raise StructuralError(f"--count must be >= 0, got {args.count}")
     system, ball = _load_input(args.input)
     rng = np.random.default_rng(args.seed)
     columns = None

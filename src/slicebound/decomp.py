@@ -133,7 +133,7 @@ def _gram_schmidt(out, candidates, tol):
     """Gram-Schmidt of the candidate rows against the orthonormal rows in
     the list out, appending each normalized residual longer than tol until
     out spans the space; returns the appended rows."""
-    n = len(candidates[0])
+    n = np.shape(candidates)[1]
     added = []
     for r in candidates:
         if len(out) == n:
@@ -178,6 +178,8 @@ class Subspace:
         b = np.atleast_2d(np.asarray(self.basis, dtype=float))
         if b.shape[1] != self.ambient_dim:
             raise StructuralError("basis rows must have length ambient_dim")
+        if b.shape[0] == 0:
+            raise StructuralError("a subspace needs at least one basis row")
         ortho = _orthonormalize(b)
         if ortho.shape[0] != b.shape[0]:
             raise StructuralError("basis rows are linearly dependent")
@@ -195,6 +197,11 @@ class Subspace:
         idx = list(indices)
         b = np.zeros((len(idx), ambient_dim))
         for r, i in enumerate(idx):
+            if (isinstance(i, bool) or not isinstance(i, (int, np.integer))
+                    or not 0 <= i < ambient_dim):
+                raise StructuralError(
+                    f"coordinate index {i!r} is not an integer in "
+                    f"[0, {ambient_dim})")
             b[r, i] = 1.0
         return cls(ambient_dim, b)
 
@@ -206,6 +213,8 @@ class Subspace:
 
     @classmethod
     def random(cls, ambient_dim, k, rng):
+        if not 1 <= k <= ambient_dim:
+            raise StructuralError(f"need 1 <= k <= {ambient_dim}, got k={k}")
         g = rng.standard_normal((k, ambient_dim))
         return cls(ambient_dim, _orthonormalize(g))
 

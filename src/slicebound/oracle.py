@@ -4,20 +4,19 @@ two-sided Fourier/Parseval identity checker, and Wills / mean-width oracles.
 Nothing in this module reuses a bound formula; estimates come from rejection
 sampling, Qhull halfspace intersection, or quadrature of Fourier transforms,
 so agreement with the bounds module is evidence rather than tautology.  The
-Monte-Carlo volumes of polytopes and l_p balls sample one envelope, a
-parallelotope cut by k of the body's own slabs, picked by a pivoted QR;
-their error bar is the Wilson score half-width of the hit rate.  They
-count on every CPU the process may run on, in blocks that each draw from
-their own place in the serial stream (_hit_or_miss), so the estimates do
-not depend on the number of CPUs.  The Wills oracle's stream stays serial:
-its normal draws take a varying number of words each.  Up to EXACT_MAX_K
-one primitive, _hull, gives a section's exact geometry: its volume, the
-segments covering its edges and each segment's share of its normal cone.
-The exact volume, V_1 and the Wills oracle's exact distances all read it.
-The Parseval right-hand side integrates in polar coordinates: one evaluator
-takes the radial integrals exactly, as batched sine-product integrals, and
-the angle is the single point of d = 1, an adaptive quadrature cut at the
-integrand's kinks and knots for d = 2, or a sphere grid for d = 3.
+three Monte-Carlo oracles (polytope and l_p ball volumes, the Wills
+functional) sample one envelope, a parallelotope cut by k of the body's own
+slabs picked by a pivoted QR, which the Wills oracle widens by 3.  One
+block driver, _blocks, draws on every CPU, each block from its own place
+in the serial stream, so no estimate depends on the number of CPUs.  Up to
+EXACT_MAX_K one primitive, _hull, gives a section's exact geometry: its
+volume, the segments covering its edges and each segment's share of its
+normal cone.  The exact volume, V_1 and the Wills oracle's exact distances
+all read it.  The Parseval right-hand side integrates in polar coordinates:
+one evaluator takes the radial integrals exactly, as batched sine-product
+integrals, and the angle is the single point of d = 1, an adaptive
+quadrature cut at the integrand's kinks and knots for d = 2, or a sphere
+grid for d = 3.
 """
 
 import itertools
@@ -41,7 +40,7 @@ from .errors import (DegenerateRegimeError, DomainError, GateError,
 from .specfun import _sinc_product_integrals
 
 _CHUNK = 1 << 16          # fixed batch size keeps streams seed-reproducible
-_BLOCK = 1 << 14          # columns of a chunk one hit-or-miss count takes
+_BLOCK = 1 << 14          # columns of a chunk one block takes
 _PERIOD = 1 << 128        # PCG64's state cycle
 EXACT_MAX_K = 3           # exact volume, V_1, Parseval lhs, distances
 
@@ -58,7 +57,7 @@ def _new_pool():
     _POOL = ThreadPoolExecutor(max(_WORKERS - 1, 1))
 
 
-# _hit_or_miss counts on every CPU the process may run on: the caller and
+# _blocks draws on every CPU the process may run on: the caller and
 # _WORKERS - 1 pool threads.  A forked child gets a pool of its own, since
 # the parent's threads do not exist there.
 _WORKERS = _cpus()
@@ -76,22 +75,6 @@ class McEstimate:
     hit_rate: float
 
 
-def unit_ball_volume(k):
-    return math.pi ** (k / 2.0) / math.gamma(1.0 + k / 2.0)
-
-
-def _ball_points(rng, count, k, radius):
-    g = rng.standard_normal((count, k))
-    sq = g[:, 0] * g[:, 0]    # np.linalg.norm's summation order for k <= 7
-    for j in range(1, k):
-        sq += g[:, j] * g[:, j]
-    sq[sq == 0] = 1.0
-    r = radius * rng.random(count) ** (1.0 / k)
-    g /= np.sqrt(sq)[:, None]
-    g *= r[:, None]
-    return g
-
-
 def _check_bounded(poly):
     normals, offsets = poly.expanded_constraints()
     if np.linalg.matrix_rank(normals, tol=1e-10) < poly.k:
@@ -103,19 +86,6 @@ def _check_bounded(poly):
                       b_eq=np.zeros(poly.k), bounds=(1.0, None))
         if res.status != 0:
             raise StructuralError("polytope is unbounded in some direction")
-
-
-def _sample_chunks(samples, seed, k, radius):
-    """Uniform points in the k-ball of the given radius, drawn in chunks of
-    fixed size so that equal seeds give equal streams.  Serial, unlike
-    _hit_or_miss: standard_normal's ziggurat takes a varying number of
-    PCG64 words per draw, so PCG64.advance cannot find where a block of
-    the stream starts."""
-    if samples < 1000:
-        raise StructuralError("need at least 1000 samples")
-    rng = np.random.default_rng(seed)
-    for done in range(0, samples, _CHUNK):
-        yield _ball_points(rng, min(_CHUNK, samples - done), k, radius)
 
 
 def _slab_envelope(rows, lo, hi):
@@ -144,23 +114,22 @@ def _slab_envelope(rows, lo, hi):
     return c, shift, pick, float(2.0 ** k / np.prod(diag[:k]))
 
 
-def _count_share(count_hits, state, k, widest, todo):
-    """Hits of count_hits over the blocks (start, stride, width) it takes
-    from the deque todo until none is left: row r of a block is the width
-    draws from word start + r stride of the stream.  One PCG64 copy of the
-    seeded state jumps to each row by advance, modulo the 2^128 period of
-    its state, and fills it as Generator.random does the serial chunk's
-    row."""
+def _take_blocks(fn, state, k, widest, todo):
+    """fn's results on the blocks (start, stride, width) it takes from the
+    deque todo until none is left: row r of a block is the width draws
+    from word start + r stride of the stream.  One PCG64 copy of the seeded
+    state jumps to each row by advance, modulo the 2^128 period of its
+    state, and fills it as Generator.random does the serial chunk's row."""
     bits = np.random.PCG64()
     bits.state = state
     gen = np.random.Generator(bits)
     buf = np.empty(k * widest)
-    hits, pos = 0, 0
+    results, pos = [], 0
     while True:
         try:
             start, stride, width = todo.popleft()    # thread-safe
         except IndexError:
-            return hits
+            return results
         u = buf[:k * width].reshape(k, width)
         for r in range(k):
             bits.advance((start + r * stride - pos) % _PERIOD)
@@ -168,13 +137,13 @@ def _count_share(count_hits, state, k, widest, todo):
             pos = start + r * stride + width
         u *= 2.0
         u -= 1.0
-        hits += count_hits(u)
+        results.append(fn(u))
 
 
-def _hit_or_miss(count_hits, volume, k, samples, seed):
-    """Volume of a body from the hit counts of uniform points of [-1, 1]^k,
-    which an affine map of the given volume carries onto an envelope of the
-    body (_slab_envelope); count_hits takes one (k, N) block of points.
+def _blocks(fn, k, samples, seed):
+    """fn's results on the blocks of the seeded stream of uniform points of
+    [-1, 1]^k, one (k, N) array each, in no fixed order; fn must not keep
+    the array, whose buffer the next block reuses.
 
     The stream is the serial one: chunks of _CHUNK samples, each the (k, n)
     array rng.uniform(-1, 1, (k, n)), so equal seeds give equal streams.  A
@@ -187,9 +156,9 @@ def _hit_or_miss(count_hits, volume, k, samples, seed):
     for, so a call never waits for a thread to wake.  Each block is drawn
     into a reused buffer as 2 d - 1, which is rng.uniform(-1, 1) bit for
     bit: d is a multiple of 2^-53, so 2 d and 2 d - 1 are exact.  Every
-    sample is counted once, at its serial place, and the hit count is a sum
-    of integers, so the estimate is the same for any worker count and any
-    order of the blocks."""
+    sample lies in one block, at its serial place, so a sum over the blocks
+    that is exact or exactly rounded is the same for any worker count and
+    any order of the blocks."""
     if samples < 1000:
         raise StructuralError("need at least 1000 samples")
     state = np.random.PCG64(seed).state
@@ -199,17 +168,27 @@ def _hit_or_miss(count_hits, volume, k, samples, seed):
         todo += [(k * done + s, n, min(_BLOCK, n - s))
                  for s in range(0, n, _BLOCK)]
     widest = todo[0][2]
-    futures = [_POOL.submit(_count_share, count_hits, state, k, widest, todo)
+    futures = [_POOL.submit(_take_blocks, fn, state, k, widest, todo)
                for _ in range(min(_WORKERS, len(todo)) - 1)]
     try:
-        hits = _count_share(count_hits, state, k, widest, todo)
+        results = _take_blocks(fn, state, k, widest, todo)
     finally:
         todo.clear()                    # on error, stop the others early
         # a task not yet started would find no block: cancel it rather
         # than wait for its thread to wake; wait for the others
         started = [f for f in futures if not f.cancel()]
         wait(started)
-    hits += sum(f.result() for f in started)
+    for f in started:
+        results += f.result()
+    return results
+
+
+def _hit_or_miss(count_hits, volume, k, samples, seed):
+    """Volume of a body from the hit counts of uniform points of [-1, 1]^k,
+    which an affine map of the given volume carries onto an envelope of the
+    body (_slab_envelope); count_hits takes one (k, N) block of points.
+    The hit count is a sum of integers over the blocks (_blocks)."""
+    hits = sum(_blocks(count_hits, k, samples, seed))
     if hits == 0:
         raise DegenerateRegimeError(f"no hit in {samples} samples")
     p = hits / samples
@@ -217,31 +196,30 @@ def _hit_or_miss(count_hits, volume, k, samples, seed):
     # where it is 1/(2(n+1)), and the binomial sqrt(p(1-p)/n) would be 0
     se = (math.sqrt(p * (1.0 - p) / samples + 0.25 / samples ** 2)
           / (1.0 + 1.0 / samples))
-    return McEstimate(
-        mean=volume * p,
-        std_error=volume * se,
-        samples=samples,
-        seed=seed,
-        hit_rate=p,
-    )
+    return McEstimate(mean=volume * p, std_error=volume * se,
+                      samples=samples, seed=seed, hit_rate=p)
+
+
+def _slabs(poly):
+    """Slabs lo_i <= <a_i, y> <= hi_i that hold on a bounded polytope:
+    |<a_i, y>| <= b_i when symmetric, else -R|a_i| <= <a_i, y> <=
+    min(b_i, R|a_i|) with R the circumradius."""
+    normals, offsets = poly.normals, poly.offsets
+    if poly.symmetric:
+        return -offsets, offsets
+    reach = poly.circumradius * np.linalg.norm(normals, axis=1)
+    return -reach, np.minimum(offsets, reach)
 
 
 def mc_volume(poly, samples, seed):
     """Hit-or-miss volume of an H-representation polytope in the
-    parallelotope cut from its own slabs: |<a_i, y>| <= b_i when symmetric,
-    else -R|a_i| <= <a_i, y> <= min(b_i, R|a_i|) with R the circumradius.
-    The picked slabs hold on every sample, so only the others are tested."""
+    parallelotope cut from its own slabs (_slabs).  The picked slabs hold
+    on every sample, so only the others are tested."""
     _check_bounded(poly)
-    normals, offsets = poly.normals, poly.offsets
-    if poly.symmetric:
-        lo, hi = -offsets, offsets
-    else:
-        reach = poly.circumradius * np.linalg.norm(normals, axis=1)
-        lo, hi = -reach, np.minimum(offsets, reach)
-    c, shift, pick, volume = _slab_envelope(normals, lo, hi)
-    rest = np.ones(len(normals), dtype=bool)
+    c, shift, pick, volume = _slab_envelope(poly.normals, *_slabs(poly))
+    rest = np.ones(len(poly.normals), dtype=bool)
     rest[pick] = False
-    c, bound = c[rest], offsets[rest] - shift[rest]
+    c, bound = c[rest], poly.offsets[rest] - shift[rest]
     return _hit_or_miss(
         lambda u: count_inside(u.T, c, bound, poly.symmetric),
         volume, poly.k, samples, seed)
@@ -452,40 +430,49 @@ def parseval_check(proj, samples=10 ** 6, seed=0):
 def wills_oracle(poly, samples, seed):
     """MC estimate of the Wills functional: integral of exp(-pi dist^2).
 
-    The distance to the section is exact for k <= EXACT_MAX_K (nearest
-    facet, edge or vertex of the hull) and Dykstra's cyclic projection
-    above.  hit_rate is the fraction of samples inside the polytope, where
-    the distance is exactly 0."""
+    The integrand is below 1e-12 beyond distance 3, so the points are
+    uniform in the parallelotope of mc_volume's slabs (_slabs) widened by
+    3|a_i| on each side, which holds the section grown by 3.  The distance
+    to the section is exact for k <= EXACT_MAX_K (nearest facet, edge or
+    vertex of the hull) and Dykstra's cyclic projection above.  Each block
+    gives its sums of f and f^2 and its count of samples inside, where the
+    distance is exactly 0 (hit_rate); math.fsum adds the blocks' sums
+    exactly rounded, so the estimate does not depend on the worker count
+    or the order of the blocks."""
     k = poly.k
     if k > EXACT_MAX_K:            # else _hull checks it
         _check_bounded(poly)
     edges = _hull(poly)[1] if k <= EXACT_MAX_K else None
-    radius = poly.circumradius + 3.0   # exp(-pi dist^2) < 1e-12 beyond
-    env = unit_ball_volume(k) * radius ** k
+    lo, hi = _slabs(poly)
+    grow = 3.0 * np.linalg.norm(poly.normals, axis=1)
+    lo, hi = lo - grow, hi + grow
+    _, _, pick, volume = _slab_envelope(poly.normals, lo, hi)
+    # y(u) = M_S^-1 u + y0 maps [-1, 1]^k onto the parallelotope
+    half = 0.5 * (hi[pick] - lo[pick])
+    to_y = np.linalg.inv(poly.normals[pick] / half[:, None]).T
+    y0 = (0.5 * (hi[pick] + lo[pick]) / half) @ to_y
     normals, offsets = poly.expanded_constraints()
     scale = np.linalg.norm(normals, axis=1)
     normals = normals / scale[:, None]
     offsets = offsets / scale
-    total = 0.0
-    total_sq = 0.0
-    hits = 0
-    for pts in _sample_chunks(samples, seed, k, radius):
+
+    def sums(u):
+        pts = u.T @ to_y
+        pts += y0
         dist = (dykstra_distances(pts, normals, offsets, 10 ** 4, 1e-9)
                 if edges is None else
                 exact_distances(pts, normals, offsets, edges))
         vals = np.exp(-math.pi * dist ** 2)
-        total += float(vals.sum())
-        total_sq += float((vals ** 2).sum())
-        hits += int(np.count_nonzero(dist == 0.0))
-    mean_v = total / samples
-    var_v = max(total_sq / samples - mean_v ** 2, 0.0)
-    return McEstimate(
-        mean=env * mean_v,
-        std_error=env * math.sqrt(var_v / samples),
-        samples=samples,
-        seed=seed,
-        hit_rate=hits / samples,
-    )
+        return (float(vals.sum()), float((vals ** 2).sum()),
+                int(np.count_nonzero(dist == 0.0)))
+
+    blocks = _blocks(sums, k, samples, seed)
+    mean_v = math.fsum(b[0] for b in blocks) / samples
+    var_v = max(math.fsum(b[1] for b in blocks) / samples - mean_v ** 2, 0.0)
+    return McEstimate(mean=volume * mean_v,
+                      std_error=volume * math.sqrt(var_v / samples),
+                      samples=samples, seed=seed,
+                      hit_rate=sum(b[2] for b in blocks) / samples)
 
 
 def _sphere_grid(count):

@@ -140,6 +140,14 @@ class TestProject:
         assert out == ""
         assert "--subspace" in err
 
+    @pytest.mark.parametrize("indices", ["[-1]", "[5]", "[0.5]"])
+    def test_bad_coordinate_exit1(self, capsys, cube3, indices):
+        code, out, err = run(capsys, "project", "--input", cube3,
+                             "--subspace", f'{{"coordinate": {indices}}}')
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "coordinate index" in err
+
     def test_inline_basis(self, capsys, cube3):
         code, out, _ = run(capsys, "project", "--input", cube3,
                            "--subspace", '{"basis": [[1.0, 1.0, 0.0]]}')
@@ -493,6 +501,22 @@ class TestSweep:
                            "--format", "csv")
         assert code == 0
         assert len(out.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("k", ["0", "4"])
+    def test_k_outside_dimension_exit1(self, capsys, cube3, k):
+        # k = 4 in R^3 would sweep the whole space and report it as k = 4
+        code, out, err = run(capsys, "sweep", "--input", cube3, "--k", k,
+                             "--samples", "1000")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "1 <= k <= 3" in err
+
+    def test_negative_count_exit1(self, capsys, cube3):
+        code, out, err = run(capsys, "sweep", "--input", cube3,
+                             "--count", "-3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and "--count" in err
 
     def test_deterministic(self, capsys, cube3):
         argv = ("sweep", "--input", cube3, "--count", "2", "--k", "1",

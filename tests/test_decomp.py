@@ -96,6 +96,28 @@ class TestSubspace:
         assert np.allclose(proj_x, H.basis.T @ H.basis @ x)
         assert np.allclose(H.basis @ (x - proj_x), 0.0)
 
+    @pytest.mark.parametrize("indices", [[-1], [3], [5], [0.5], [1.0],
+                                         [True], [0, "1"]])
+    def test_bad_coordinate_index_rejected(self, indices):
+        # -1 would silently pick e_2; 5 and 0.5 would fail while indexing
+        with pytest.raises(StructuralError, match="coordinate index"):
+            Subspace.coordinate(3, indices)
+        with pytest.raises(StructuralError, match="coordinate index"):
+            Subspace.from_dict({"coordinate": indices}, 3)
+
+    def test_numpy_integer_indices(self):
+        H = Subspace.coordinate(3, np.arange(1, 3))
+        assert np.array_equal(H.basis, np.eye(3)[1:])
+
+    def test_empty_or_oversized_subspace_rejected(self):
+        with pytest.raises(StructuralError, match="at least one"):
+            Subspace(3, np.zeros((0, 3)))
+        for k in (0, 4):
+            with pytest.raises(StructuralError, match="1 <= k <= 3"):
+                Subspace.random(3, k, np.random.default_rng(2))
+        with pytest.raises(StructuralError, match="at least one"):
+            Subspace.orthogonal_to(np.eye(3))
+
     def test_from_dict_variants(self):
         assert Subspace.from_dict({"coordinate": [0]}, 3).k == 1
         assert Subspace.from_dict({"orthogonal_to": [[0, 0, 1.0]]}, 3).k == 2

@@ -36,14 +36,18 @@ from slicebound.bodies import HPolytopeSection, vol_simplex_inradius1
 from slicebound import oracle
 from slicebound._kernels import (count_inside, dykstra_distances,
                                  exact_distances)
-from slicebound.oracle import (_ball_points, _complement_integral, _hull,
-                               _sample_chunks, _slab_envelope, _sphere_grid,
-                               unit_ball_volume)
+from slicebound.oracle import (_complement_integral, _hull, _slab_envelope,
+                               _sphere_grid)
 
 
 def square_section(n=2):
     proj = project(cube_decomposition(n), Subspace.coordinate(n, [0, 1]))
     return section_polytope(proj)
+
+
+def cube_section(k):
+    return section_polytope(project(cube_decomposition(k),
+                                    Subspace.coordinate(k, range(k))))
 
 
 def diagonal_segment():
@@ -370,18 +374,49 @@ class TestWillsOracle:
         assert e1.mean == e2.mean
 
     def test_hit_rate_is_inside_fraction(self):
-        proj = project(cube_decomposition(3), Subspace.coordinate(3, range(3)))
-        poly = section_polytope(proj)
+        # the slabs |y_i| <= 1 widened by 3 cut the envelope [-4, 4]^3, of
+        # which the cube [-1, 1]^3 fills 8 / 512
         samples = 5 * 10 ** 4
-        est = wills_oracle(poly, samples, seed=12)
-        radius = poly.circumradius + 3.0
-        inside = sum(count_inside(pts, poly.normals, poly.offsets, True)
-                     for pts in _sample_chunks(samples, 12, 3, radius))
-        assert est.hit_rate == inside / samples
-        # the cube [-1, 1]^3 fills 8 / (4/3 pi radius^3) of the ball
-        share = 8.0 / (4.0 / 3.0 * math.pi * radius ** 3)
+        est = wills_oracle(SECTIONS["cube"], samples, seed=12)
+        share = 8.0 / 512.0
         assert est.hit_rate == pytest.approx(
             share, abs=5.0 * math.sqrt(share * (1.0 - share) / samples))
+
+    @pytest.mark.parametrize("name, seed", [("cube1", 61), ("cube2", 62),
+                                            ("cube3", 63), ("hexagon", 64)])
+    def test_matches_exact_wills(self, name, seed):
+        # W = sum_j V_j: 3^k for the cube [-1, 1]^k, and 1 + V_1 + V_2 for
+        # the hexagon of side sqrt 2, half-perimeter 3 sqrt 2, area 3 sqrt 3
+        if name == "hexagon":
+            poly = SECTIONS[name]
+            exact = 1.0 + 3.0 * math.sqrt(2.0) + 3.0 * math.sqrt(3.0)
+        else:
+            k = int(name[-1])
+            poly, exact = cube_section(k), 3.0 ** k
+        est = wills_oracle(poly, 10 ** 5, seed=seed)
+        assert abs(est.mean - exact) <= 5.0 * est.std_error
+        assert est.std_error < 0.015 * exact
+
+    @pytest.mark.parametrize("distances", ["exact", "dykstra"])
+    def test_estimate_independent_of_workers(self, distances, monkeypatch):
+        # equal estimates on the exact path (the hexagon) and the Dykstra
+        # path (cube(4)) for one to three workers, with thread switches
+        # every microsecond, so that a lost or reordered block would show
+        poly = SECTIONS["hexagon"] if distances == "exact" else cube_section(4)
+        samples = oracle._CHUNK + 1000
+        estimates = []
+        interval = sys.getswitchinterval()
+        for workers in (1, 2, 3):
+            pool = ThreadPoolExecutor(max(workers - 1, 1))
+            monkeypatch.setattr(oracle, "_WORKERS", workers)
+            monkeypatch.setattr(oracle, "_POOL", pool)
+            sys.setswitchinterval(1e-6)
+            try:
+                estimates.append(wills_oracle(poly, samples, seed=66))
+            finally:
+                sys.setswitchinterval(interval)
+                pool.shutdown()
+        assert estimates[0] == estimates[1] == estimates[2]
 
     @pytest.mark.parametrize("name", ["hexagon", "cube", "cube5_k1",
                                       "cube5_k2"])
@@ -754,8 +789,8 @@ class TestExactDistances:
     @pytest.mark.parametrize("name", sorted(SECTIONS))
     def test_matches_scalar_dykstra(self, name):
         poly = SECTIONS[name]
-        pts = _ball_points(np.random.default_rng(22), 150, poly.k,
-                           poly.circumradius + 3.0)
+        pts = _ball_points_reference(np.random.default_rng(22), 150,
+                                     poly.k, poly.circumradius + 3.0)
         normals, offsets = _unit_constraints(poly)
         ref = _dykstra_distances_impl(pts, normals, offsets, 10 ** 5, 1e-14)
         assert np.abs(_exact(poly, pts) - ref).max() <= 1e-12
@@ -837,8 +872,8 @@ class TestExactDistances:
                                       "plane123"])
     def test_inside_exactly_zero(self, name):
         poly = SECTIONS[name]
-        pts = _ball_points(np.random.default_rng(23), 4000, poly.k,
-                           poly.circumradius)
+        pts = _ball_points_reference(np.random.default_rng(23), 4000,
+                                     poly.k, poly.circumradius)
         inside = (np.abs(pts @ poly.normals.T) <= poly.offsets).all(axis=1)
         assert inside.any() and not inside.all()
         dist = _exact(poly, pts)
@@ -854,7 +889,7 @@ class TestExactDistances:
                   else hadamard_decomposition(4, 8))
         poly = section_polytope(project(
             system, Subspace.random(system.dim, k, rng)))
-        pts = _ball_points(rng, 200, k, poly.circumradius + 3.0)
+        pts = _ball_points_reference(rng, 200, k, poly.circumradius + 3.0)
         normals, offsets = _unit_constraints(poly)
         exact = _exact(poly, pts)
         violation = np.maximum((pts @ normals.T - offsets).max(axis=1), 0.0)
@@ -864,7 +899,7 @@ class TestExactDistances:
 
 
 def _ball_points_reference(rng, count, k, radius):
-    # the sampler's formula written plainly: np.linalg.norm, then g / |g| * r
+    # uniform points in the k-ball of the given radius: g / |g| * r
     g = rng.standard_normal((count, k))
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0] = 1.0
@@ -915,29 +950,50 @@ class TestSampleStream:
     # Generator's stream stays the same across versions
 
     @pytest.mark.parametrize("k", range(1, 8))
-    def test_ball_points_unchanged(self, k):
-        for seed in (0, 7, 2 ** 40 + 3):
-            for count in (1, 1000, 65536):
-                got = _ball_points(np.random.default_rng(seed), count, k, 1.7)
-                want = _ball_points_reference(np.random.default_rng(seed),
-                                              count, k, 1.7)
-                assert np.array_equal(got, want)
+    def test_wills_points_unchanged(self, k, monkeypatch):
+        # the distance kernels see the serial stream's columns u mapped by
+        # y(u) = M_S^-1 (u + mid_S / half_S) onto the widened slabs'
+        # parallelotope, in stream order on one worker: exact distances up
+        # to k = 3, Dykstra above; the one-sided section's mid_S is not 0
+        got = []
+
+        def record(pts, *args):
+            got.append(pts.copy())
+            return np.zeros(len(pts))
+
+        monkeypatch.setattr(oracle, "exact_distances", record)
+        monkeypatch.setattr(oracle, "dykstra_distances", record)
+        monkeypatch.setattr(oracle, "_WORKERS", 1)
+        samples = oracle._CHUNK + 1000
+        rng = np.random.default_rng(70 + k)
+        for poly in (section_polytope(project(cube_decomposition(8),
+                                              Subspace.random(8, k, rng))),
+                     nonsym_section_polytope(simplex_decomposition(7),
+                                             Subspace.random(7, k, rng))):
+            got.clear()
+            assert wills_oracle(poly, samples, seed=k).hit_rate == 1.0
+            lo, hi = _widened_slabs(poly)
+            pick = _slab_envelope(poly.normals, lo, hi)[2]
+            half, mid = 0.5 * (hi - lo)[pick], 0.5 * (hi + lo)[pick]
+            want = np.linalg.solve(poly.normals[pick] / half[:, None],
+                                   _serial_stream(k, samples, seed=k)
+                                   + (mid / half)[:, None]).T
+            assert np.allclose(np.vstack(got), want, rtol=0,
+                               atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_hit_or_miss_chunks_unchanged(self, k, monkeypatch):
-        # every block count_hits sees is bit for bit the matching columns of
-        # one of rng.uniform(-1, 1)'s serial chunks, and the blocks cover
-        # every sample once, whatever the worker count and the call order:
-        # one partial chunk, and full chunks followed by a partial one
+        # every block the driver hands on is bit for bit the matching
+        # columns of one of rng.uniform(-1, 1)'s serial chunks, and the
+        # blocks cover every sample once, whatever the worker count and the
+        # call order: one partial chunk, and full chunks then a partial one
         for samples in (1000, oracle._CHUNK + 1000, 2 * oracle._CHUNK + 777):
             want = _serial_stream(k, samples, seed=k)
             column = {want[:, j].tobytes(): j for j in range(samples)}
             assert len(column) == samples    # a column tells its place
             for workers in (1, 2, 3):
                 monkeypatch.setattr(oracle, "_WORKERS", workers)
-                got = []
-                oracle._hit_or_miss(lambda u: got.append(u.copy()) or 1,
-                                    1.0, k, samples, seed=k)
+                got = oracle._blocks(np.copy, k, samples, seed=k)
                 cover = np.zeros(samples, dtype=int)
                 for u in got:
                     assert u.shape[0] == k
@@ -972,17 +1028,6 @@ class TestSampleStream:
                 pool.shutdown()
             assert got == want
 
-    def test_ball_points_zero_row(self):
-        class Zeros:
-            def standard_normal(self, shape):
-                return np.zeros(shape)
-
-            def random(self, count):
-                return np.full(count, 0.5)
-
-        assert np.array_equal(_ball_points(Zeros(), 5, 3, 2.0),
-                              np.zeros((5, 3)))
-
     @pytest.mark.parametrize("p", [1.0, 1.35, 2.0])
     def test_kp_norm_unchanged(self, p):
         rng = np.random.default_rng(31)
@@ -991,8 +1036,8 @@ class TestSampleStream:
         H = Subspace.random(system.dim, 3, rng)
         radius = math.sqrt(float(np.sum(
             system.weights * ball.alphas ** (-2.0 / p))))
-        x = np.vstack([pts @ H.basis
-                       for pts in _sample_chunks(4 * 10 ** 5, 8, 3, radius)])
+        x = _ball_points_reference(np.random.default_rng(8), 4 * 10 ** 5, 3,
+                                   radius) @ H.basis
         got = ball.norm(x)
         # (|x V^T|^p . alpha)^(1/p) over an (N, m) array
         want = ((np.abs(x @ system.vectors.T) ** p @ ball.alphas)
@@ -1104,6 +1149,14 @@ def _slabs(poly):
     return -reach, np.minimum(poly.offsets, reach)
 
 
+def _widened_slabs(poly):
+    """The slabs the Wills oracle cuts its envelope from: mc_volume's,
+    widened by 3 |a_i| on each side."""
+    lo, hi = _slabs(poly)
+    grow = 3.0 * np.linalg.norm(poly.normals, axis=1)
+    return lo - grow, hi + grow
+
+
 def _qhull(poly):
     """Vertices and volume of a polytope with the origin inside."""
     normals, offsets = poly.expanded_constraints()
@@ -1154,6 +1207,25 @@ class TestSlabEnvelope:
         poly = SECTIONS[name]
         hull_volume, ends, _ = _hull(poly)
         _assert_in_envelope(poly, ends.reshape(-1, poly.k), hull_volume)
+
+    @pytest.mark.parametrize("name", sorted(SECTIONS))
+    def test_grown_hull_in_widened_slabs(self, name):
+        # K + 3B, outside which exp(-pi d^2) < 1e-12, lies in the picked
+        # slabs widened by 3|a_i|: its farthest points along a picked row
+        # a are v + 3 a/|a| for vertices v, and other directions ride along
+        poly = SECTIONS[name]
+        verts = np.unique(_hull(poly)[1].reshape(-1, poly.k), axis=0)
+        lo, hi = _widened_slabs(poly)
+        pick = _slab_envelope(poly.normals, lo, hi)[2]
+        rows = poly.normals[pick]
+        units = rows / np.linalg.norm(rows, axis=1)[:, None]
+        theta = np.random.default_rng(65).standard_normal((200, poly.k))
+        theta = np.vstack([units, -units, theta / np.linalg.norm(
+            theta, axis=1)[:, None]])
+        dots = (verts[:, None, :] + 3.0 * theta).reshape(-1, poly.k) @ rows.T
+        tol = 1e-12 * np.abs(hi).max()
+        assert np.all(dots >= lo[pick] - tol)
+        assert np.all(dots <= hi[pick] + tol)
 
     @pytest.mark.parametrize("name", sorted(HIGHK_SECTIONS))
     def test_highk_vertices_in_picked_slabs(self, name):
@@ -1232,7 +1304,7 @@ class TestMcKpEnvelope:
         H = Subspace.random(system.dim, 3, rng)
         w = system.vectors @ H.basis.T
         gram = (ball.alphas[:, None] * w).T @ w
-        exact = unit_ball_volume(3) / math.sqrt(np.linalg.det(gram))
+        exact = 4.0 / 3.0 * math.pi / math.sqrt(np.linalg.det(gram))
         est = mc_kp_section_volume(ball, H, 4 * 10 ** 5, seed=47)
         assert abs(est.mean - exact) <= 5.0 * est.std_error
 
