@@ -2,7 +2,9 @@
 distances for k <= 3, and Dykstra projections for higher k, vectorized over
 the points with numpy.  Membership and exact distances run constraint-major,
 on rows of N dots, one per constraint: numpy runs long rows elementwise
-several times faster than it reduces an (N, m) array along its short axis."""
+several times faster than it reduces an (N, m) array along its short axis.
+Membership is one comparison of the (m, N) dots with the offsets, reduced by
+.all over the constraint axis."""
 
 import numpy as np
 
@@ -11,10 +13,7 @@ def count_inside(points, normals, offsets, symmetric):
     dots = normals @ points.T
     if symmetric:
         np.abs(dots, out=dots)
-    inside = np.ones(len(points), dtype=bool)
-    for row, bound in zip(dots, offsets):
-        inside &= row <= bound
-    return int(np.count_nonzero(inside))
+    return int(np.count_nonzero((dots <= offsets[:, None]).all(axis=0)))
 
 
 def exact_distances(points, normals, offsets, segments):

@@ -111,7 +111,7 @@ def bound_volume_via_wills(proj):
     The factor increases with I_p, so it takes the upper end of I_p's
     interval, computed once per distinct p."""
     m0, k = proj.m0, proj.k
-    log_acc = k * math.log(2.0) - (m0 - k) * math.log(math.pi)
+    log_acc = -(m0 - k) * math.log(math.pi)
     sinc_power = functools.cache(_sinc_power_upper)
     for tc, t in zip(proj.tilde_weights, proj.thresholds):
         log_acc += tc * math.log(math.sqrt(tc) * t)
@@ -121,7 +121,9 @@ def bound_volume_via_wills(proj):
         p = 1.0 / defect
         log_acc += -math.log(defect) / (2.0 * p)
         log_acc += math.log(sinc_power(p)) / p
-    return math.exp(log_acc)
+    # 2^k outside the exponential: exact on the one-sided cube's coordinate
+    # sections, where the rest is 0
+    return 2.0 ** k * math.exp(log_acc)
 
 
 def bound_wills_functional(proj, lam):

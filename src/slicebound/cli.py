@@ -5,12 +5,15 @@ Each subcommand accepts only the options its handler reads.  The
 tolerances are the fixed constants decomp.TOL_IDENTITY and decomp.TOL_PROJ;
 Monte-Carlo seeds come from --seed alone (default 0).
 
+Reports are always whole: a bound whose gate fails is emitted with
+"value": null and the formula's value under "formula_value".
+
 Exit codes: 0 success; 1 structural error: bad input, schema or domain, an
 input a check cannot handle (such as a d = 2 Parseval quadrature that does
 not converge), or a usage error (an unknown or unread option, a bad choice,
-a missing argument); 2 gate violation (with --force the formula values are
-still emitted) or a Wills bound that fails to dominate its Monte-Carlo
-oracle.
+a missing argument); 2 a reported bound whose gate fails, a Parseval
+identity whose hypotheses fail, or a Wills bound that fails to dominate its
+Monte-Carlo oracle.
 """
 
 import argparse
@@ -73,19 +76,31 @@ def _emit(payload, args):
         print(text)
 
 
+def _entries(report):
+    """The report's entries as emitted: one whose gate fails has "value"
+    None (null in JSON, an empty cell in CSV) and the formula's value under
+    "formula_value"."""
+    return [e if e["gate"]["satisfied"]
+            else dict(e, value=None, formula_value=e["value"])
+            for e in report.entries]
+
+
+def _cell(v):
+    return f"{v:.17g}" if isinstance(v, float) else v
+
+
 def _to_csv(payload):
     buf = io.StringIO()
-    writer = csv.writer(buf)
+    writer = csv.writer(buf)       # writes None as an empty cell
     if isinstance(payload, dict) and "rows" in payload:
         writer.writerow(payload["columns"])
         for row in payload["rows"]:
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v
-                             for v in row])
+            writer.writerow([_cell(v) for v in row])
     elif isinstance(payload, dict) and "entries" in payload:
         writer.writerow(["name", "value", "gate_condition", "gate_satisfied"])
         for e in payload["entries"]:
             writer.writerow([
-                e["name"], f"{e['value']:.17g}",
+                e["name"], _cell(e["value"]),
                 e["gate"]["required_condition"], e["gate"]["satisfied"],
             ])
     else:
@@ -143,59 +158,45 @@ def cmd_bound(args):
             nl = decomp.lift_nonsymmetric(system, subspace)
     report = bounds.build_report(
         _parse_bounds_arg(args.bounds), proj=proj, ball=ball,
-        subspace=subspace, nl=nl, force=args.force,
+        subspace=subspace, nl=nl, force=True,
     )
-    _emit(report.to_dict(), args)
+    _emit({"entries": _entries(report)}, args)
     return EXIT_OK if report.gates_satisfied() else EXIT_GATE
 
 
-def _section_certificate(system, ball, H, args, seed, oracle_kind):
+def _section_certificate(system, ball, H, args, seed):
     """(bound report, Monte-Carlo estimate, exact volume) for the section of
-    the input by H; the estimate is None for oracle_kind "exact", and the
-    exact volume is None unless asked for and k <= oracle.EXACT_MAX_K."""
+    the input by H; the exact volume is None for l_p balls and above
+    k = oracle.EXACT_MAX_K."""
     names = _parse_bounds_arg(args.bounds)
     if ball is not None:
-        if oracle_kind == "exact":
-            raise StructuralError("no exact oracle for l_p ball sections")
-        est = oracle.mc_kp_section_volume(ball, H, args.samples, seed)
-        report = bounds.build_report(names, ball=ball, subspace=H,
-                                     force=args.force)
-        return report, est, None
+        return (bounds.build_report(names, ball=ball, subspace=H, force=True),
+                oracle.mc_kp_section_volume(ball, H, args.samples, seed), None)
     proj = decomp.project(system, H)
     poly = bodies.section_polytope(proj)
-    est = exact = None
-    if oracle_kind != "exact":
-        est = oracle.mc_volume(poly, args.samples, seed)
-    if oracle_kind == "exact" or (oracle_kind == "both"
-                                  and proj.k <= oracle.EXACT_MAX_K):
-        exact = oracle.exact_volume_smallk(poly)
-    report = bounds.build_report(names, proj=proj, force=args.force)
-    return report, est, exact
+    exact = (oracle.exact_volume_smallk(poly)
+             if proj.k <= oracle.EXACT_MAX_K else None)
+    return (bounds.build_report(names, proj=proj, force=True),
+            oracle.mc_volume(poly, args.samples, seed), exact)
 
 
 def cmd_verify(args):
     if args.what not in ("section", "parseval", "wills"):
         raise StructuralError(f"unknown verify mode {args.what!r}; valid "
                               "modes: section, parseval, wills")
-    if args.what != "section":            # options only sections read
-        given = [f"--{name}" for name in ("bounds", "oracle", "force")
-                 if getattr(args, name) not in (None, False)]
-        if given:
-            raise StructuralError(
-                f"verify {args.what} does not read {', '.join(given)}")
+    if args.what != "section" and args.bounds is not None:
+        raise StructuralError(f"verify {args.what} does not read --bounds")
     system, ball = _load_input(args.input)
     H = _load_subspace(args.subspace, system.dim)
     if args.what == "section":
-        report, est, exact = _section_certificate(
-            system, ball, H, args, args.seed, args.oracle or "both")
-        out = {"seed": args.seed, "samples": args.samples}
-        if est is not None:
-            out["mc_mean"] = _fmt(est.mean)
-            out["mc_std_error"] = _fmt(est.std_error)
-            out["mc_hit_rate"] = _fmt(est.hit_rate)
+        report, est, exact = _section_certificate(system, ball, H, args,
+                                                  args.seed)
+        out = {"seed": args.seed, "samples": args.samples,
+               "mc_mean": _fmt(est.mean), "mc_std_error": _fmt(est.std_error),
+               "mc_hit_rate": _fmt(est.hit_rate)}
         if exact is not None:
             out["exact"] = _fmt(exact)
-        out["bounds"] = report.entries
+        out["bounds"] = _entries(report)
         _emit(out, args)
         return EXIT_OK if report.gates_satisfied() else EXIT_GATE
     if ball is not None:
@@ -241,25 +242,21 @@ def cmd_sweep(args):
         raise StructuralError(f"--count must be >= 0, got {args.count}")
     system, ball = _load_input(args.input)
     rng = np.random.default_rng(args.seed)
-    columns = None
-    rows = []
+    names, rows, gates_hold = [], [], True
     for i in range(args.count):
         H = decomp.Subspace.random(system.dim, args.k, rng)
-        report, est, _ = _section_certificate(system, ball, H, args,
-                                              args.seed + i + 1, "mc")
-        entry_names = [e["name"] for e in report.entries]
-        if columns is None:
-            columns = (["row", "inputs_digest", "k"] + entry_names
-                       + ["oracle_mean", "oracle_std_error"])
+        report, est, exact = _section_certificate(system, ball, H, args,
+                                                  args.seed + i + 1)
+        gates_hold &= report.gates_satisfied()
+        names = [e["name"] for e in report.entries]
         digest = report.entries[0]["inputs_digest"] if report.entries else ""
         rows.append([i, digest, args.k]
-                    + [e["value"] for e in report.entries]
-                    + [est.mean, est.std_error])
-    if columns is None:
-        columns = ["row", "inputs_digest", "k", "oracle_mean",
-                   "oracle_std_error"]
+                    + [e["value"] for e in _entries(report)]
+                    + [est.mean, est.std_error, exact])
+    columns = (["row", "inputs_digest", "k"] + names
+               + ["oracle_mean", "oracle_std_error", "exact"])
     _emit({"columns": columns, "rows": rows}, args)
-    return EXIT_OK
+    return EXIT_OK if gates_hold else EXIT_GATE
 
 
 # ---------------------------------------------------------------------------
@@ -273,17 +270,14 @@ class _Parser(argparse.ArgumentParser):
         raise StructuralError(f"{self.prog}: {message}")
 
 
-# every option a subcommand can declare; --bounds and --oracle default to
-# None ("all" and "both") so that verify can tell whether one was given
+# every option a subcommand can declare; --bounds defaults to None ("all")
+# so that verify can tell whether it was given
 _OPTIONS = {
     "--input": {},
     "--subspace": {},
     "--bounds": {
         "help": "'all' (every bound the inputs allow, the default) or a "
                 "comma-separated list of: " + ", ".join(bounds.ALL_BOUNDS)},
-    "--oracle": {"choices": ["mc", "exact", "both"],
-                 "help": "section oracle (default: both)"},
-    "--force": {"action": "store_true"},
     "--samples": {"type": int, "default": 10 ** 5},
     "--seed": {"type": int, "default": 0},
     "--count": {"type": int, "default": 10},
@@ -317,10 +311,9 @@ def build_parser():
     command("project", cmd_project, "project a system onto a subspace",
             "--input", "--subspace")
     command("bound", cmd_bound, "evaluate bound formulas",
-            "--input", "--subspace", "--bounds", "--force")
+            "--input", "--subspace", "--bounds")
     p = command("verify", cmd_verify, "compare bounds against oracles",
-                "--input", "--subspace", "--bounds", "--oracle", "--force",
-                "--samples", "--seed")
+                "--input", "--subspace", "--bounds", "--samples", "--seed")
     # checked in cmd_verify: with argparse choices, an unknown option's
     # value would be reported as an invalid mode instead
     p.add_argument("what", nargs="?", default="section",
@@ -329,8 +322,7 @@ def build_parser():
                 "--k", "--n", "--one-sided")
     p.add_argument("body", choices=["hadamard", "cube", "simplex"])
     command("sweep", cmd_sweep, "bounds vs oracle over random subspaces",
-            "--input", "--count", "--k", "--bounds", "--force", "--samples",
-            "--seed")
+            "--input", "--count", "--k", "--bounds", "--samples", "--seed")
     return parser
 
 

@@ -167,18 +167,15 @@ class TestBound:
         by_name = {e["name"]: e["value"] for e in data["entries"]}
         assert by_name["symmetric_case1"] == pytest.approx(4.0)
 
-    def test_gate_exit2_and_force(self, capsys, cube3):
-        diag = '{"basis": [[1.0, 1.0, 1.0]]}'
+    def test_gate_exit2_value_null(self, capsys, cube3):
+        # the entry is still reported: no value, the formula's value beside
         code, out, _ = run(capsys, "bound", "--input", cube3,
-                           "--subspace", diag,
+                           "--subspace", '{"basis": [[1.0, 1.0, 1.0]]}',
                            "--bounds", "symmetric_case1")
         assert code == 2
-        code, out, _ = run(capsys, "bound", "--input", cube3,
-                           "--subspace", diag,
-                           "--bounds", "symmetric_case1", "--force")
-        assert code == 2      # value emitted, gate recorded unsatisfied
         entry = json.loads(out)["entries"][0]
-        assert entry["value"] > 0
+        assert entry["value"] is None
+        assert entry["formula_value"] > 0
         assert not entry["gate"]["satisfied"]
 
     def test_one_centering_test(self, capsys, tmp_path, monkeypatch):
@@ -253,11 +250,22 @@ class TestBound:
 
     def test_centered_all_hits_nonsym_gate(self, capsys, cube3):
         # a centered system also evaluates the nonsymmetric bounds, whose
-        # kappa >= 1/2 gate fails on coordinate sections of the cube
-        code, _, err = run(capsys, "bound", "--input", cube3,
+        # kappa >= 1/2 gate fails on coordinate sections of the cube; every
+        # entry is still reported, the failed ones with a null value
+        code, out, _ = run(capsys, "bound", "--input", cube3,
                            "--subspace", '{"coordinate": [0, 1]}')
         assert code == 2
-        assert "gate" in err
+        entries = {e["name"]: e for e in json.loads(out)["entries"]}
+        assert list(entries) == [
+            "symmetric_case1", "symmetric_case1_coarse", "ab_old",
+            "wills_volume", "wills_functional", "mean_width",
+            "nonsym_fourier", "nonsym_hyperplane"]
+        for name, e in entries.items():
+            failed = name.startswith("nonsym")
+            assert e["gate"]["satisfied"] is not failed
+            assert (e["value"] is None) is failed
+            assert ("formula_value" in e) is failed
+        assert entries["nonsym_fourier"]["formula_value"] > 0
         code, out, _ = run(capsys, "bound", "--input", cube3,
                            "--subspace", '{"coordinate": [0, 1]}',
                            "--bounds", "symmetric_case1,mean_width")
@@ -274,6 +282,15 @@ class TestBound:
         assert lines[0] == "name,value,gate_condition,gate_satisfied"
         assert any(line.startswith("symmetric_case1,") for line in lines)
 
+    def test_csv_null_value_empty_cell(self, capsys, cube3):
+        code, out, _ = run(capsys, "bound", "--input", cube3,
+                           "--subspace", '{"coordinate": [0, 1]}',
+                           "--bounds", "ab_old,nonsym_fourier",
+                           "--format", "csv")
+        assert code == 2
+        assert out.strip().splitlines()[1:] == [
+            "ab_old,4,none,True", "nonsym_fourier,,all kappa >= 1/2,False"]
+
 
 class TestVerify:
     def test_section(self, capsys, cube3):
@@ -287,6 +304,21 @@ class TestVerify:
         # the square is its own envelope
         assert data["mc_hit_rate"] == 1.0
 
+    def test_section_gate_fails_exit2(self, capsys, cube3):
+        # the (1, 1, 0) line: tc = 1/4 on e_1 and e_2, so case 1's gate fails;
+        # both oracles and every bound are still reported
+        code, out, _ = run(capsys, "verify", "section", "--input", cube3,
+                           "--subspace", '{"basis": [[1, 1, 0]]}',
+                           "--samples", "5000", "--seed", "7")
+        assert code == 2
+        data = json.loads(out)
+        assert data["exact"] == pytest.approx(2.0 * math.sqrt(2.0))
+        assert data["mc_mean"] > 0
+        entries = {e["name"]: e for e in data["bounds"]}
+        assert entries["symmetric_case1"]["value"] is None
+        assert entries["symmetric_case1"]["formula_value"] > 0
+        assert entries["ab_old"]["value"] >= data["exact"]
+
     def test_section_bounds_selection(self, capsys, cube3):
         code, out, _ = run(capsys, "verify", "section", "--input", cube3,
                            "--subspace", '{"coordinate": [0, 1]}',
@@ -295,38 +327,33 @@ class TestVerify:
         assert [e["name"] for e in json.loads(out)["bounds"]] == ["ab_old"]
 
     def test_section_exact_above_limit(self, capsys, tmp_path):
+        # above oracle.EXACT_MAX_K the Monte-Carlo oracle stands alone
         path = str(tmp_path / "cube4.json")
         code, _, _ = run(capsys, "construct", "cube", "--n", "4",
                          "--output", path)
         assert code == 0
-        argv = ("verify", "section", "--input", path,
-                "--subspace", '{"coordinate": [0, 1, 2, 3]}',
-                "--samples", "5000", "--bounds", "ab_old")
-        code, _, err = run(capsys, *argv, "--oracle", "exact")
-        assert code == 1
-        assert "k <= 3" in err
-        # "both" falls back to the Monte-Carlo oracle alone
-        code, out, _ = run(capsys, *argv, "--oracle", "both")
+        code, out, _ = run(capsys, "verify", "section", "--input", path,
+                           "--subspace", '{"coordinate": [0, 1, 2, 3]}',
+                           "--samples", "5000", "--bounds", "ab_old")
         assert code == 0
         data = json.loads(out)
         assert "exact" not in data
         assert data["mc_mean"] > 0
 
-    @pytest.mark.parametrize("what, extra", [
-        ("section", ("--oracle", "exact")), ("parseval", ()), ("wills", ())])
-    def test_ball_unchecked_exit1(self, capsys, b1_ball, what, extra):
+    @pytest.mark.parametrize("what", ["parseval", "wills"])
+    def test_ball_unchecked_exit1(self, capsys, b1_ball, what):
         code, out, err = run(capsys, "verify", what, "--input", b1_ball,
                              "--subspace", '{"coordinate": [0, 1]}',
-                             "--samples", "5000", *extra)
+                             "--samples", "5000")
         assert code == 1
         assert out == ""
         assert "l_p ball" in err
 
     def test_ball_section_mc_only(self, capsys, b1_ball):
+        # l_p balls have no exact oracle, at any k
         code, out, _ = run(capsys, "verify", "section", "--input", b1_ball,
                            "--subspace", '{"coordinate": [0, 1]}',
-                           "--samples", "5000", "--oracle", "both",
-                           "--bounds", "k1_upper")
+                           "--samples", "5000", "--bounds", "k1_upper")
         assert code == 0
         data = json.loads(out)
         assert "exact" not in data
@@ -496,6 +523,35 @@ class TestSweep:
         assert "ab_old" in lines[0]
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("names, expected", [("all", 2), ("ab_old", 0)])
+    def test_rows_whole(self, capsys, cube3, names, expected):
+        # random planes of the two-sided cube(3) fail case 1's gate: each
+        # such cell is null, and exit 2 says so; the exact volume fills its
+        # column at k = 2
+        argv = ("sweep", "--input", cube3, "--count", "3", "--k", "2",
+                "--samples", "5000", "--seed", "4", "--bounds", names)
+        code, out, _ = run(capsys, *argv)
+        assert code == expected
+        data = json.loads(out)
+        cols = data["columns"]
+        assert cols[-3:] == ["oracle_mean", "oracle_std_error", "exact"]
+        assert len(data["rows"]) == 3
+        for row in data["rows"]:
+            cell = dict(zip(cols, row))
+            assert abs(cell["exact"] - cell["oracle_mean"]) <= (
+                5 * cell["oracle_std_error"])
+            assert cell["ab_old"] >= cell["exact"]
+            if names == "all":
+                assert cell["symmetric_case1"] is None
+                assert cell["wills_volume"] >= cell["exact"]
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == expected
+        lines = out.strip().splitlines()
+        assert len(lines) == 4
+        if names == "all":
+            assert lines[0].startswith("row,inputs_digest,k,symmetric_case1,")
+            assert all(line.split(",")[3] == "" for line in lines[1:])
+
     def test_empty_sweep_header_only(self, capsys, cube3):
         code, out, _ = run(capsys, "sweep", "--input", cube3, "--count", "0",
                            "--format", "csv")
@@ -539,22 +595,23 @@ class TestOutputFile:
 
 
 SUB = '{"coordinate": [0, 1]}'
-# the options each subcommand reads, 38 settable values in all; nothing
+# the options each subcommand reads, 34 settable values in all; nothing
 # else is accepted
 SURFACE = {
     "validate": {"--input", "--output", "--format"},
     "project": {"--input", "--subspace", "--output", "--format"},
-    "bound": {"--input", "--subspace", "--bounds", "--force", "--output",
-              "--format"},
-    "verify": {"what", "--input", "--subspace", "--bounds", "--oracle",
-               "--force", "--samples", "--seed", "--output", "--format"},
+    "bound": {"--input", "--subspace", "--bounds", "--output", "--format"},
+    "verify": {"what", "--input", "--subspace", "--bounds", "--samples",
+               "--seed", "--output", "--format"},
     "construct": {"body", "--k", "--n", "--one-sided", "--output",
                   "--format"},
-    "sweep": {"--input", "--count", "--k", "--bounds", "--force",
-              "--samples", "--seed", "--output", "--format"},
+    "sweep": {"--input", "--count", "--k", "--bounds", "--samples",
+              "--seed", "--output", "--format"},
 }
-# a value for each option; None for flags.  --tol-identity and --tol-proj
-# are retired (the tolerances are fixed constants): no subcommand reads them
+# a value for each option; None for flags.  Four are retired, and no
+# subcommand accepts them: --tol-identity and --tol-proj (the tolerances are
+# fixed constants), --oracle (sections get every oracle that exists) and
+# --force (a failed gate is reported as a null value)
 VALUES = {
     "--input": "cube3.json", "--subspace": SUB,
     "--bounds": "ab_old", "--oracle": "mc", "--force": None,
@@ -622,7 +679,7 @@ class TestOptionSurface:
         assert option in err
 
     @pytest.mark.parametrize("argv", [
-        ["construct"], ["verify", "--oracle", "bogus"], [],
+        ["construct"], ["sweep", "--count", "many"], [],
         ["validate", "--format", "xml"]])
     def test_usage_error_exit1(self, capsys, argv):
         code, _, err = run(capsys, *argv)
